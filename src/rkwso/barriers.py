@@ -123,7 +123,9 @@ class BarrierInputs:
 def gather_inputs(t, tol=DEFAULT_TOL, precomputed=None):
     pre = precomputed or {}
     cls = pre.get("classification") or classify(t, tol)
-    q = pre.get("wso", wso(t, tol=tol))
+    q = pre.get("wso")
+    if q is None:
+        q = wso(t, tol=tol)
     R = pre.get("stability") or stability_function(t, tol)
     p = pre.get("p_linear")
     if p is None:
@@ -218,7 +220,10 @@ def check_Km_lower_bounds(t, bi, report, m=None, tol=DEFAULT_TOL):
     zero_absc = has_zero_abscissa(t, tol)
     if m is None:
         m = 2 * n_c - (1 if zero_absc else 0)
-    K = space_K(t, m, tol)
+    # one build serves every K_j needed here: K_j is a prefix of K_m
+    mstar = saturation_index(t, tol)
+    Kall = space_K(t, max(m, mstar + 3), tol)
+    K = Kall.prefix(m)
     # general lower bound: dim K_m >= max(m - n_c, 0) for m <= 2 n_c - 1
     if m <= 2 * n_c - 1:
         report.add(NAME_K_LOWER_GENERAL, max(m - n_c, 0), K.dim)
@@ -241,12 +246,12 @@ def check_Km_lower_bounds(t, bi, report, m=None, tol=DEFAULT_TOL):
         )
     else:
         report.skip(NAME_K_MEMBER_C, "needs m >= 2 n_c - 1 and a zero abscissa")
-    # saturation: K at the saturation index equals K three steps later
-    mstar = saturation_index(t, tol)
-    Ksat = space_K(t, mstar, tol)
-    Kmore = space_K(t, mstar + 3, tol)
+    # saturation: K at the saturation index equals K three steps later;
+    # K_{m*} is a prefix of K_{m*+3}, so equal dimensions mean equal spans
     report.add_bool(
-        NAME_K_SATURATION, Ksat.same_span(Kmore, tol), f"K_{mstar} == K_{mstar + 3}"
+        NAME_K_SATURATION,
+        Kall.dims[mstar - 1] == Kall.dims[mstar + 2],
+        f"K_{mstar} == K_{mstar + 3}",
     )
     if bi.cls.is_dirk and not bi.cls.is_gedirk and m >= 2 * n_c:
         report.add(NAME_K_LOWER_DIRK_NZ, n_c, K.dim)
@@ -262,10 +267,10 @@ def check_Km_lower_bounds(t, bi, report, m=None, tol=DEFAULT_TOL):
         report.skip(NAME_K_LOWER_DIRK, "not diagonally implicit")
 
 
-def check_main_results(bi, report):
+def check_main_results(bi, report, tol=DEFAULT_TOL):
     """The stage/WSO/order budgets for general and DIRK schemes."""
     s = bi.t.s
-    zero_absc = has_zero_abscissa(bi.t)
+    zero_absc = has_zero_abscissa(bi.t, tol)
     q, p = bi.q, bi.p
     if not zero_absc:
         if p >= 1:
@@ -443,6 +448,6 @@ def barrier_report(t, tol=DEFAULT_TOL, precomputed=None):
     check_dimY_bounds(bi, report)
     check_dimK_bounds(bi, report)
     check_Km_lower_bounds(t, bi, report, tol=tol)
-    check_main_results(bi, report)
+    check_main_results(bi, report, tol)
     check_P_necessary_conditions(t, bi, report, P, Q, tol)
     return report

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -259,9 +260,38 @@ def build_parser():
     return parser
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _bind_negative_values(argv):
+    """Rewrites `--opt -1e6` as `--opt=-1e6`.
+
+    argparse takes a token that starts with '-' for an option unless it
+    looks like a negative number without an exponent, so `--lambda -1e6`
+    would fail with "expected one argument".  Every long option of this CLI
+    takes a value, so a negative number right after one is its value.
+    """
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (
+            _NEGATIVE_NUMBER.match(tok)
+            and prev.startswith("--")
+            and len(prev) > 2
+            and "=" not in prev
+            and prev != "--help"
+        ):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _bind_negative_values(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         return args.fn(args)
     except TableauError as err:

@@ -1,13 +1,15 @@
 """Small dense linear algebra over exact rationals or binary64.
 
 Matrices are sequences of row sequences, vectors are flat sequences.  The
-exact path runs fraction Gaussian elimination; the float path defers to
+exact path runs fraction Gaussian elimination, except the `Eliminator`,
+which works fraction-free on integer vectors; the float path defers to
 numpy.  Everything here is sized for Runge-Kutta stage counts (s <= ~8), so
 clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,10 +27,6 @@ def zero(exact):
 
 def one(exact):
     return Fraction(1) if exact else 1.0
-
-
-def as_scalar(value, exact):
-    return Fraction(value) if exact else float(value)
 
 
 def eye(n, exact):
@@ -53,17 +51,25 @@ def vdot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(u, k):
-    return [k * a for a in u]
-
-
 def vec_pow(v, k):
     """Componentwise power with 0^0 = 1."""
     return [x ** k if k else x ** 0 for x in v]
+
+
+def primitive(v):
+    """The primitive integer vector on the ray of a rational vector v:
+    denominators cleared, content divided out.  Zero stays zero."""
+    den = math.lcm(*(x.denominator for x in v))
+    w = [x.numerator * (den // x.denominator) for x in v]
+    g = math.gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
+def integer_matrix(A):
+    """(d, d A) with d the least common denominator of the entries of A, so
+    that d A is an integer matrix."""
+    d = math.lcm(*(x.denominator for row in A for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in A]
 
 
 def max_abs(rows):
@@ -136,8 +142,11 @@ def _is_complex(A, rhs):
 class Eliminator:
     """Incremental rank-revealing column elimination.
 
-    Exact mode keeps pivot-normalized reduced vectors; float mode keeps an
-    orthonormal set (modified Gram-Schmidt) with a relative rank threshold.
+    Exact mode is fraction-free: it keeps primitive integer vectors, each
+    with a pivot at which every later one vanishes, and reduces by
+    cross-multiplication followed by division by the content, so it creates
+    no Fraction.  Float mode keeps an orthonormal set (modified Gram-Schmidt)
+    with a relative rank threshold.
     """
 
     def __init__(self, exact, tol=DEFAULT_TOL):
@@ -150,14 +159,21 @@ class Eliminator:
         return len(self._reduced)
 
     def residual(self, v):
-        w = list(v)
+        """v reduced against the span.  Exact mode returns a primitive
+        integer multiple of the rational residual; it is zero exactly when
+        v lies in the span."""
         if self.exact:
-            for piv, basis_vec in self._reduced:
-                if w[piv] != 0:
-                    f = w[piv]
-                    w = [x - f * y for x, y in zip(w, basis_vec)]
+            w = primitive(v)
+            for piv, u in self._reduced:
+                f = w[piv]
+                if f:
+                    g = u[piv]
+                    w = [g * x - f * y for x, y in zip(w, u)]
+                    c = math.gcd(*w)
+                    if c > 1:
+                        w = [x // c for x in w]
             return w
-        w = np.array(w, dtype=float)
+        w = np.array(v, dtype=float)
         for u in self._reduced:
             w = w - np.dot(u, w) * u
         # second pass stabilizes near-dependent vectors
@@ -168,7 +184,7 @@ class Eliminator:
     def contains(self, v):
         r = self.residual(v)
         if self.exact:
-            return all(x == 0 for x in r)
+            return not any(r)
         scale = max(1.0, float(np.linalg.norm(np.array(v, dtype=float))))
         return float(np.linalg.norm(np.array(r))) <= self.tol.rank * scale
 
@@ -176,11 +192,10 @@ class Eliminator:
         """Returns True when v enlarges the span."""
         r = self.residual(v)
         if self.exact:
-            piv = next((i for i, x in enumerate(r) if x != 0), None)
+            piv = next((i for i, x in enumerate(r) if x), None)
             if piv is None:
                 return False
-            inv = 1 / r[piv]
-            self._reduced.append((piv, [x * inv for x in r]))
+            self._reduced.append((piv, r))
             return True
         norm_v = max(1.0, float(np.linalg.norm(np.array(v, dtype=float))))
         rn = np.array(r, dtype=float)
@@ -199,10 +214,6 @@ def independent_subset(vectors, exact, tol=DEFAULT_TOL):
         if elim.add(v):
             picked.append(i)
     return picked, elim
-
-
-def rank_of(vectors, exact, tol=DEFAULT_TOL):
-    return independent_subset(vectors, exact, tol)[1].rank
 
 
 def solve_in_span(columns, target, exact, tol=DEFAULT_TOL):

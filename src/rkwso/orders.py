@@ -14,7 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Eliminator, matvec, transpose, vdot, vec_pow
+from .linalg import (
+    Eliminator,
+    integer_matrix,
+    matvec,
+    primitive,
+    transpose,
+    vdot,
+    vec_pow,
+)
 from .scalars import DEFAULT_TOL
 from .trees import density, elementary_weight, trees_of_order
 
@@ -173,13 +181,27 @@ def wso(t, kcap=None, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Rank-revealed basis of K_m (kind "K") or Y (kind "Y")."""
+    """Rank-revealed basis of K_m (kind "K") or Y (kind "Y").
+
+    For K_m, dims[j-1] = dim K_j for j = 1..m, and the basis of K_j is the
+    first dims[j-1] vectors of this basis (see `prefix`).  An exact basis
+    holds primitive integer multiples of the Krylov vectors (as Fractions),
+    not the vectors themselves; they span the same space.
+    """
 
     kind: str
     m: int | None
     basis: tuple  # tuple of vectors (tuples)
     dim: int
     exact: bool
+    dims: tuple = ()
+
+    def prefix(self, j):
+        """The basis of K_j, for 1 <= j <= m."""
+        if self.kind != "K" or not 1 <= j <= self.m:
+            raise ValueError(f"K_{j} is not a prefix of this basis")
+        n = self.dims[j - 1]
+        return SubspaceBasis("K", j, self.basis[:n], n, self.exact, self.dims[:j])
 
     def eliminator(self, tol=DEFAULT_TOL):
         elim = Eliminator(self.exact, tol)
@@ -200,32 +222,59 @@ class SubspaceBasis:
         )
 
 
+def _krylov(t, starts, M, tol):
+    """Basis of the span of the Krylov sequences v, M v, M^2 v, ... (at most
+    s vectors each) of the start vectors, and the dimension reached after
+    each sequence.
+
+    A sequence stops at its first dependent vector: the span of the earlier
+    sequences and of the vectors accepted so far is then M-invariant, so
+    every later vector of the sequence is dependent too.  Exact mode runs on
+    the integer matrix d M and primitive integer vectors, which span the
+    same spaces.
+    """
+    if t.exact:
+        _, M = integer_matrix(M)
+    elim = Eliminator(t.exact, tol)
+    basis, dims = [], []
+    for v in starts:
+        for _ in range(t.s):
+            if t.exact:
+                v = primitive(v)
+            if not elim.add(v):
+                break
+            basis.append(tuple(Fraction(x) for x in v) if t.exact else tuple(v))
+            v = matvec(M, v)
+        dims.append(len(basis))
+    return tuple(basis), tuple(dims)
+
+
 def space_K(t, m, tol=DEFAULT_TOL):
     """Invariant subspace spanned by A^j tau^(k), 0 <= j < s, 1 <= k <= m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    elim = Eliminator(t.exact, tol)
-    basis = []
+    basis, dims = _krylov(t, _tau_starts(t, m), t.A, tol)
+    return SubspaceBasis("K", m, basis, len(basis), t.exact, dims)
+
+
+def _tau_starts(t, m):
+    """tau^(1..m), or in exact mode the integer vectors k (d c)^(k-1) (d A)
+    - (d c)^k = k d^k tau^(k) for the least common denominator d of A."""
+    if not t.exact:
+        for k in range(1, m + 1):
+            yield tau(t, k)
+        return
+    _, dA = integer_matrix(t.A)
+    dc = [sum(row) for row in dA]
     for k in range(1, m + 1):
-        v = tau(t, k)
-        for _ in range(t.s):
-            if elim.add(v):
-                basis.append(tuple(v))
-            v = matvec(t.A, v)
-    return SubspaceBasis("K", m, tuple(basis), elim.rank, t.exact)
+        ck1 = [x ** (k - 1) for x in dc]
+        yield [k * a - x * y for a, x, y in zip(matvec(dA, ck1), dc, ck1)]
 
 
 def space_Y(t, tol=DEFAULT_TOL):
     """Left Krylov subspace spanned by (A^T)^j b, 0 <= j < s."""
-    elim = Eliminator(t.exact, tol)
-    basis = []
-    v = list(t.b)
-    At = transpose(t.A)
-    for _ in range(t.s):
-        if elim.add(v):
-            basis.append(tuple(v))
-        v = matvec(At, v)
-    return SubspaceBasis("Y", None, tuple(basis), elim.rank, t.exact)
+    basis, _ = _krylov(t, [list(t.b)], transpose(t.A), tol)
+    return SubspaceBasis("Y", None, basis, len(basis), t.exact)
 
 
 def wso_via_subspaces(t, kcap=None, tol=DEFAULT_TOL):
@@ -233,9 +282,10 @@ def wso_via_subspaces(t, kcap=None, tol=DEFAULT_TOL):
     mstar = saturation_index(t, tol)
     cap = mstar if kcap is None else min(kcap, mstar)
     Y = space_Y(t, tol)
+    Kcap = space_K(t, cap, tol) if cap >= 1 else None
     q = 0
     for m in range(1, cap + 1):
-        K = space_K(t, m, tol)
+        K = Kcap.prefix(m)
         scale = _tau_scale(t, list(Y.basis) + list(K.basis)) ** 2
         ortho = all(
             _is_zero_scalar(t, vdot(y, k), scale, tol)

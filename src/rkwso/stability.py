@@ -1,7 +1,8 @@
 """Stability functions, moment functionals, and the orthogonal basis.
 
 R(z) is computed two independent ways: as a quotient of determinants of
-linear pencils (interpolated at integer nodes), and from the expansion of
+linear pencils (reversed characteristic polynomials in exact mode,
+interpolated at integer nodes in float mode), and from the expansion of
 the left-annihilator polynomial Q in the orthogonal basis (Q_j) of the
 moment functional with mu_n = 1/(n+1)!.  The two must agree whenever the
 scheme's order (against exp(z)) is at least dim Y.
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import SingularMatrixError, det, solve, vdot
+from .minpoly import char_poly, poly_Q
 from .orders import space_Y, tau
 from .poly import Polynomial, RationalFunction, lagrange_interpolate
 from .scalars import DEFAULT_TOL
@@ -43,10 +45,21 @@ def _pencil_matrix(t, z, with_ebt):
 
 
 def _det_poly(t, with_ebt, degree):
-    """Determinant of the pencil as a polynomial in z (interpolation)."""
-    nodes = [Fraction(k) if t.exact else float(k) for k in range(degree + 1)]
-    values = [det(_pencil_matrix(t, z, with_ebt), t.exact) for z in nodes]
-    return lagrange_interpolate(nodes, values, t.exact)
+    """Determinant of the pencil as a polynomial in z.
+
+    The pencil is I - zM with M = A, or M = A - e b^T when with_ebt.  Exact
+    mode reverses the characteristic polynomial, det(I - zM) = z^s
+    chi_M(1/z); float mode interpolates at integer nodes.
+    """
+    if t.exact:
+        M = [
+            [t.a(i, j) - (t.b[j] if with_ebt else 0) for j in range(t.s)]
+            for i in range(t.s)
+        ]
+        return Polynomial(char_poly(M, True).coeffs[::-1], True)
+    nodes = [float(k) for k in range(degree + 1)]
+    values = [det(_pencil_matrix(t, z, with_ebt), False) for z in nodes]
+    return lagrange_interpolate(nodes, values, False)
 
 
 def stability_function(t, tol=DEFAULT_TOL):
@@ -316,8 +329,6 @@ def expand_Q_in_basis(t, tol=DEFAULT_TOL):
     Returns (alphas, d) with d = dim Y = deg Q; a mismatch between the two
     signals an upstream bug and raises.
     """
-    from .minpoly import poly_Q
-
     Q = poly_Q(t, tol)
     d = space_Y(t, tol).dim
     if Q.degree != d:
@@ -391,10 +402,8 @@ def stability_from_alpha(alphas, d, p, tol=DEFAULT_TOL):
 
 
 def _resolvent_form(t, k, tol=DEFAULT_TOL):
-    """phi(z) = b^T adj(I - zA) tau^(k) as a polynomial (degree <= s-1),
-    together with the pencil determinant polynomial."""
+    """phi(z) = b^T adj(I - zA) tau^(k) as a polynomial (degree <= s-1)."""
     s = t.s
-    den = _det_poly(t, False, s)
     tk = tau(t, k)
     max_a = max(abs(float(x)) for row in t.A for x in row) if s else 0.0
     nodes, values = [], []
@@ -416,19 +425,19 @@ def _resolvent_form(t, k, tol=DEFAULT_TOL):
         z_int += 1
         if z_int > 20 * s + 20:
             raise SingularMatrixError("could not find nonsingular nodes")
-    phi = lagrange_interpolate(nodes, values, t.exact)
-    return phi, den
+    return lagrange_interpolate(nodes, values, t.exact)
 
 
 def wtilde_k(t, k, tol=DEFAULT_TOL):
     """W~_k(z) = z b^T (I - zA)^{-1} tau^(k) as a rational function."""
-    phi, den = _resolvent_form(t, k, tol)
-    return RationalFunction(phi.shift(1), den, tol)
+    phi = _resolvent_form(t, k, tol)
+    return RationalFunction(phi.shift(1), _det_poly(t, False, t.s), tol)
 
 
 def w_k(t, k, tol=DEFAULT_TOL):
     """W_k(z) = k b^T (I - zA)^{-1} tau^(k) / (R(z) - 1)."""
-    phi, den = _resolvent_form(t, k, tol)
+    phi = _resolvent_form(t, k, tol)
+    den = _det_poly(t, False, t.s)
     num_R = _det_poly(t, True, t.s)
     r_minus_1 = num_R - den
     if r_minus_1.is_zero:
@@ -441,7 +450,7 @@ def w_k(t, k, tol=DEFAULT_TOL):
 
 def wtilde_is_zero(t, k, tol=DEFAULT_TOL):
     """Exact (or toleranced) test of W~_k == 0 as a polynomial identity."""
-    phi, _ = _resolvent_form(t, k, tol)
+    phi = _resolvent_form(t, k, tol)
     if t.exact:
         return phi.is_zero
     scale = max(

@@ -2,6 +2,9 @@
 
 from fractions import Fraction as F
 
+import pytest
+
+from rkwso import barriers
 from rkwso.barriers import (
     NAME_DIMK_UPPER,
     NAME_DIMK_UPPER_DIRK,
@@ -21,6 +24,8 @@ from rkwso.barriers import (
     barrier_report,
 )
 from rkwso.catalog import catalog_all, catalog_scheme
+from rkwso.orders import wso
+from rkwso.scalars import Tolerances
 from rkwso.tableau import make_tableau
 
 EXPLICIT_EULER = make_tableau([[F(0)]], [F(1)], name="explicit-euler", exact=True)
@@ -199,3 +204,31 @@ def test_no_catalog_scheme_violates_any_barrier():
     for t in catalog_all():
         rep = barrier_report(t)
         assert rep.violations() == [], t.name
+
+
+class TestInputsAndTolerances:
+    def test_precomputed_wso_is_not_recomputed(self, monkeypatch):
+        t = catalog_scheme("sdirk2-wso1")
+        expected = barrier_report(t).as_dict()
+        q = wso(t)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("wso recomputed despite a precomputed value")
+
+        monkeypatch.setattr(barriers, "wso", fail)
+        with pytest.raises(AssertionError):
+            barrier_report(t)
+        assert barrier_report(t, precomputed={"wso": q}).as_dict() == expected
+
+    @pytest.mark.parametrize("tie, vanishes", [(1e-6, True), (None, False)])
+    def test_checkers_agree_on_a_vanishing_abscissa(self, tie, vanishes):
+        # c_1 = 1e-8 is zero under a tie tolerance of 1e-6, not under 1e-10
+        t = make_tableau([[1e-8, 0.0], [0.25, 0.75]], [0.5, 0.5], exact=False)
+        tol = Tolerances() if tie is None else Tolerances(abscissa_tie=tie)
+        rep = barrier_report(t, tol)
+        # check_Km_lower_bounds gates the abscissa membership on it ...
+        assert entry(rep, NAME_K_MEMBER_C).applicable is vanishes
+        assert entry(rep, NAME_K_MEMBER_E).applicable is not vanishes
+        # ... and check_main_results picks the WSO cap by it
+        assert entry(rep, NAME_WSO_CAP_ZERO).applicable is vanishes
+        assert entry(rep, NAME_WSO_CAP_NONZERO).applicable is not vanishes

@@ -138,6 +138,17 @@ class TestConverge:
         fitted = float(out.strip().splitlines()[1].split(",")[5])
         assert fitted >= 1.8
 
+    def test_negative_exponent_value(self, capsys):
+        # the README line: argparse alone reads "-1e6" as an option
+        line = "converge backward-euler --regime stiff --lambda -1e6 --phi cos --T 1"
+        code, out, err = run_cli(capsys, *line.split())
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert lines[0] == "scheme,regime,param,dt,error,fitted_order"
+        param, fitted = (float(x) for x in lines[1].split(",")[2:6:3])
+        assert param == -1e6
+        assert abs(fitted - 1.0) <= 0.05
+
 
 class TestCatalog:
     def test_list(self, capsys):

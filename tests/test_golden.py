@@ -1,0 +1,56 @@
+"""Golden report bytes: a digest of the full analysis report of a fixed set of
+schemes.  A change that is meant to make the analysis faster must leave every
+byte of every report as it was.  Run this file as a script to list the digest
+of each scheme's report; comparing that listing with the parent commit's finds
+the reports that changed.
+
+The set: every catalog scheme, `random_suite(60, smax=5)`, and the binary64
+twins of those random tableaux whose weights all lie in [-3, 3].
+"""
+
+import hashlib
+import json
+
+from helpers import random_suite
+
+from rkwso.catalog import catalog_names, catalog_scheme
+from rkwso.report import analyze, report_dict
+from rkwso.tableau import make_tableau
+
+GOLDEN_SHA256 = "2ccc26d0d44ac78263b30f8f3ccc5151baf96d5862ea207f10dc8624a2363fab"
+
+
+def golden_schemes():
+    suite = random_suite(60, smax=5)
+    twins = [
+        make_tableau(
+            [[float(x) for x in row] for row in t.A],
+            [float(x) for x in t.b],
+            name=t.name,
+            exact=False,
+        )
+        for t in suite
+        if max(abs(x) for x in t.b) <= 3
+    ]
+    return [catalog_scheme(n) for n in catalog_names()] + suite + twins
+
+
+def report_lines(schemes):
+    return [json.dumps(report_dict(analyze(t))) for t in schemes]
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_report_bytes_match_golden_digest():
+    assert digest(report_lines(golden_schemes())) == GOLDEN_SHA256
+
+
+if __name__ == "__main__":
+    # prints the digest, then one line per scheme: its index, name and the
+    # sha256 of its report, for locating a report that changed
+    lines = report_lines(golden_schemes())
+    print(digest(lines))
+    for i, (t, line) in enumerate(zip(golden_schemes(), lines)):
+        print(i, t.name, hashlib.sha256(line.encode()).hexdigest())
