@@ -3,6 +3,12 @@
 Every checker runs only when its hypotheses hold; otherwise it reports a
 not-applicable entry naming the failed hypothesis.  A sharp flag marks
 equality in the satisfied inequality.
+
+The checkers read every per-scheme quantity (WSO, R(z), Y, K_m, P, Q, the
+classification) from one `orders.SchemeContext`, the one `analyze` built
+when it calls `barrier_report`.  The rule is the context's: share inputs,
+never results.  The barriers consume the results of the routes; the routes
+never read each other's.
 """
 
 from __future__ import annotations
@@ -10,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .minpoly import min_poly_matrix, poly_P, poly_Q
-from .orders import space_K, space_Y, saturation_index, wso
+from .minpoly import min_poly_matrix
+from .orders import SchemeContext
 from .scalars import DEFAULT_TOL
-from .stability import order_vs_exp, reduced_degrees, stability_function
-from .tableau import classify, distinct_abscissas, has_zero_abscissa
+from .stability import reduced_degrees
+from .tableau import distinct_abscissas, has_zero_abscissa
 
 NAME_STAB_DEGREE = "stability-degree-vs-dimY"
 NAME_STAB_DEGREE_SA = "stability-degree-stiffly-accurate"
@@ -120,43 +126,25 @@ class BarrierInputs:
     deg_den: int
 
 
-def gather_inputs(t, tol=DEFAULT_TOL, precomputed=None):
-    pre = precomputed or {}
-    cls = pre.get("classification") or classify(t, tol)
-    q = pre.get("wso")
-    if q is None:
-        q = wso(t, tol=tol)
-    R = pre.get("stability") or stability_function(t, tol)
-    p = pre.get("p_linear")
-    if p is None:
-        p = order_vs_exp(R, tol=tol)
-    sigma = 1 if (cls.is_stiffly_accurate and cls.a_invertible) else 0
-    kappa = 1 if cls.is_gedirk else 0
-    dim_Y = pre.get("dim_Y")
-    if dim_Y is None:
-        dim_Y = space_Y(t, tol).dim
-    m_for_K = saturation_index(t, tol) if math.isinf(q) else max(1, int(q))
-    dim_Kq = pre.get("dim_Kq")
-    if dim_Kq is None:
-        dim_Kq = space_K(t, m_for_K, tol).dim
-    P = pre.get("P") or poly_P(t, q, tol)
-    Q = pre.get("Q") or poly_Q(t, tol)
-    dn, dd = reduced_degrees(R, tol)
+def gather_inputs(t, tol=DEFAULT_TOL, ctx=None):
+    ctx = ctx or SchemeContext(t, tol)
+    cls = ctx.cls
+    dn, dd = reduced_degrees(ctx.R, tol)
     return BarrierInputs(
         t=t,
         cls=cls,
-        p=p,
-        q=q,
+        p=ctx.p_linear,
+        q=ctx.q,
         n_c=cls.n_c,
-        sigma=sigma,
-        kappa=kappa,
-        dim_Y=dim_Y,
-        dim_Kq=dim_Kq,
-        deg_P=P.degree,
-        deg_Q=Q.degree,
+        sigma=1 if (cls.is_stiffly_accurate and cls.a_invertible) else 0,
+        kappa=1 if cls.is_gedirk else 0,
+        dim_Y=ctx.Y.dim,
+        dim_Kq=ctx.dim_Kq,
+        deg_P=ctx.P.degree,
+        deg_Q=ctx.Q.degree,
         deg_num=dn,
         deg_den=dd,
-    ), P, Q, R
+    )
 
 
 def check_dimY_bounds(bi, report):
@@ -214,16 +202,14 @@ def check_dimK_bounds(bi, report):
         report.skip(NAME_DIMK_UPPER_DIRK, "not diagonally implicit")
 
 
-def check_Km_lower_bounds(t, bi, report, m=None, tol=DEFAULT_TOL):
-    """Memberships and dimension lower bounds for K_m."""
+def check_Km_lower_bounds(t, bi, report, tol=DEFAULT_TOL, ctx=None):
+    """Memberships and dimension lower bounds for K_m at m = m*."""
+    ctx = ctx or SchemeContext(t, tol)
     n_c = bi.n_c
     zero_absc = has_zero_abscissa(t, tol)
-    if m is None:
-        m = 2 * n_c - (1 if zero_absc else 0)
-    # one build serves every K_j needed here: K_j is a prefix of K_m
-    mstar = saturation_index(t, tol)
-    Kall = space_K(t, max(m, mstar + 3), tol)
-    K = Kall.prefix(m)
+    # one build serves every K_j needed here: K_j is a prefix of K_{m*+3}
+    m = mstar = ctx.mstar
+    K = ctx.K.prefix(m)
     # general lower bound: dim K_m >= max(m - n_c, 0) for m <= 2 n_c - 1
     if m <= 2 * n_c - 1:
         report.add(NAME_K_LOWER_GENERAL, max(m - n_c, 0), K.dim)
@@ -250,7 +236,7 @@ def check_Km_lower_bounds(t, bi, report, m=None, tol=DEFAULT_TOL):
     # K_{m*} is a prefix of K_{m*+3}, so equal dimensions mean equal spans
     report.add_bool(
         NAME_K_SATURATION,
-        Kall.dims[mstar - 1] == Kall.dims[mstar + 2],
+        ctx.K.dims[mstar - 1] == ctx.K.dims[mstar + 2],
         f"K_{mstar} == K_{mstar + 3}",
     )
     if bi.cls.is_dirk and not bi.cls.is_gedirk and m >= 2 * n_c:
@@ -326,12 +312,10 @@ def _block_invertible(t, r, tol):
     return all(abs(float(t.a(i, i))) > tol.zero for i in range(r))
 
 
-def check_P_necessary_conditions(t, bi, report, P=None, Q=None, tol=DEFAULT_TOL):
+def check_P_necessary_conditions(t, bi, report, tol=DEFAULT_TOL, ctx=None):
     """Root/divisibility conditions on P and Q for DIRK schemes."""
-    if P is None:
-        P = poly_P(t, bi.q, tol)
-    if Q is None:
-        Q = poly_Q(t, tol)
+    ctx = ctx or SchemeContext(t, tol)
+    P, Q = ctx.P, ctx.Q
     cls = bi.cls
     q = bi.q
     # (1) leading-block minimal polynomials divide P
@@ -343,11 +327,11 @@ def check_P_necessary_conditions(t, bi, report, P=None, Q=None, tol=DEFAULT_TOL)
         report.skip(NAME_P_DIVISIBILITY, "wso < 2")
     else:
         r_cap = t.s if math.isinf(q) else min(t.s, int(q) // 2)
+        reps = distinct_abscissas(t, tol)
         checked = 0
         ok = True
         for r in range(1, r_cap + 1):
-            lead = [t.c[i] for i in range(r)]
-            if len(distinct_abscissas_subset(lead, t.exact, tol)) != r:
+            if reps[:r] != list(t.c[:r]):
                 break  # abscissa prefix no longer distinct; later r excluded
             p_r = min_poly_matrix(_leading_block(t, r), t.exact, tol)
             ok = ok and p_r.divides(P, tol)
@@ -408,18 +392,6 @@ def check_P_necessary_conditions(t, bi, report, P=None, Q=None, tol=DEFAULT_TOL)
             )
 
 
-def distinct_abscissas_subset(values, exact, tol):
-    reps = []
-    for v in values:
-        if exact:
-            if not any(v == r for r in reps):
-                reps.append(v)
-        else:
-            if not any(abs(float(v) - float(r)) <= tol.abscissa_tie for r in reps):
-                reps.append(v)
-    return reps
-
-
 def _is_root(poly, x, exact, tol):
     val = poly.evaluate(x)
     if exact:
@@ -428,9 +400,10 @@ def _is_root(poly, x, exact, tol):
     return abs(float(val)) <= 1e-8 * scale
 
 
-def barrier_report(t, tol=DEFAULT_TOL, precomputed=None):
+def barrier_report(t, tol=DEFAULT_TOL, ctx=None):
     """Runs every applicable barrier checker and returns the report."""
-    bi, P, Q, _R = gather_inputs(t, tol, precomputed)
+    ctx = ctx or SchemeContext(t, tol)
+    bi = gather_inputs(t, tol, ctx)
     report = BarrierReport(
         inputs={
             "s": t.s,
@@ -447,7 +420,7 @@ def barrier_report(t, tol=DEFAULT_TOL, precomputed=None):
     )
     check_dimY_bounds(bi, report)
     check_dimK_bounds(bi, report)
-    check_Km_lower_bounds(t, bi, report, tol=tol)
+    check_Km_lower_bounds(t, bi, report, tol, ctx)
     check_main_results(bi, report, tol)
-    check_P_necessary_conditions(t, bi, report, P, Q, tol)
+    check_P_necessary_conditions(t, bi, report, tol, ctx)
     return report

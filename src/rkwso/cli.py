@@ -117,9 +117,7 @@ def cmd_construct(args):
                 return 1
             s, p, q = (int(x) for x in args.targets.split(","))
             seed = tuple(float(x) for x in args.diag.split(",")) if args.diag else ()
-            spec = ConstructionSpec(
-                family="generic", targets=(s, p, q), diagonal_seed=seed
-            )
+            spec = ConstructionSpec(targets=(s, p, q), diagonal_seed=seed)
             outcome = generic_search(spec, tol, n_starts=args.seed_grid)
             if outcome.tableau is None:
                 print(outcome.diagnostic, file=sys.stderr)

@@ -63,10 +63,10 @@ class DegenerateParameterError(ConstructionError):
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    family: str  # wso3_p2_s2 | wso3_p3_s3 | generic
-    sign: str = "minus"
-    a: float = 0.5
-    targets: tuple = ()  # (s, p, q) for generic
+    """Targets (s, p, q) of `generic_search`, and optionally the leading
+    diagonal entries it keeps fixed."""
+
+    targets: tuple
     diagonal_seed: tuple = ()
 
 

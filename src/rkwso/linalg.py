@@ -206,16 +206,6 @@ class Eliminator:
         return True
 
 
-def independent_subset(vectors, exact, tol=DEFAULT_TOL):
-    """Indices of a rank-revealing independent subset, in input order."""
-    elim = Eliminator(exact, tol)
-    picked = []
-    for i, v in enumerate(vectors):
-        if elim.add(v):
-            picked.append(i)
-    return picked, elim
-
-
 def solve_in_span(columns, target, exact, tol=DEFAULT_TOL):
     """Coefficients x with sum_j x_j columns[j] = target, or None.
 

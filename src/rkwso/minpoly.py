@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import eye, integer_matrix, matmul, matvec, solve_in_span, transpose
-from .orders import saturation_index, space_K, space_Y, wso
+from .orders import SchemeContext
 from .poly import Polynomial, lagrange_interpolate
 from .scalars import DEFAULT_TOL
 
@@ -113,9 +113,9 @@ def min_poly_on_subspace(A, basis, exact, tol=DEFAULT_TOL):
     return min_poly_matrix(M, exact, tol)
 
 
-def poly_Q(t, tol=DEFAULT_TOL):
+def poly_Q(t, tol=DEFAULT_TOL, ctx=None):
     """Minimal monic Q with b^T Q(A) = 0; deg Q = dim Y."""
-    Y = space_Y(t, tol)
+    Y = (ctx or SchemeContext(t, tol)).Y
     At = transpose([list(r) for r in t.A])
     Q = min_poly_on_subspace(At, Y.basis, t.exact, tol)
     if Q.degree != Y.dim:
@@ -123,14 +123,17 @@ def poly_Q(t, tol=DEFAULT_TOL):
     return Q
 
 
-def poly_P(t, q=None, tol=DEFAULT_TOL):
-    """Minimal monic P with P(A) tau^(k) = 0 for k = 2..q; 1 when q < 2."""
+def poly_P(t, q=None, tol=DEFAULT_TOL, ctx=None):
+    """Minimal monic P with P(A) tau^(k) = 0 for k = 2..q; 1 when q < 2.
+
+    q defaults to the context's WSO.
+    """
+    ctx = ctx or SchemeContext(t, tol)
     if q is None:
-        q = wso(t, tol=tol)
+        q = ctx.q
     if q < 2:
         return Polynomial.one(t.exact)
-    m = saturation_index(t, tol) if math.isinf(q) else int(q)
-    K = space_K(t, m, tol)
+    K = ctx.K.prefix(ctx.mstar if math.isinf(q) else int(q))
     A = [list(r) for r in t.A]
     P = min_poly_on_subspace(A, K.basis, t.exact, tol)
     if P.degree > K.dim:
@@ -147,24 +150,25 @@ class Factorization:
     product_matches: bool
 
 
-def factorization(t, q=None, tol=DEFAULT_TOL):
-    """char_A = P * Q * N with the product verified by multiplication."""
+def factorization(t, q=None, tol=DEFAULT_TOL, ctx=None):
+    """char_A = P * Q * N with the product verified by multiplication.
+
+    N is the quotient of char_A by P * Q.  `product_matches` is False when
+    P * Q does not divide char_A: a fault upstream in exact mode, a
+    tolerance breach in float mode.
+    """
+    ctx = ctx or SchemeContext(t, tol)
     char = char_poly([list(r) for r in t.A], t.exact, tol)
-    P = poly_P(t, q, tol)
-    Q = poly_Q(t, tol)
+    P = ctx.P if q is None else poly_P(t, q, tol, ctx)
+    Q = ctx.Q
     PQ = P * Q
-    if not PQ.divides(char, tol):
-        raise RuntimeError(
-            "P*Q does not divide char_A"
-            + (" (tolerance breach)" if not t.exact else " (internal bug)")
-        )
     N, _ = char.divmod(PQ)
     product = PQ * N
     if t.exact:
         matches = product == char
     else:
         scale = max([1.0] + [abs(c) for c in char.coeffs])
-        matches = all(
+        matches = PQ.divides(char, tol) and all(
             abs(a - b) <= tol.factor_check * scale
             for a, b in zip(
                 list(product.coeffs) + [0.0] * len(char.coeffs),

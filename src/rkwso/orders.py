@@ -1,5 +1,5 @@
-"""Stage-order residuals, classical order, weak stage order, and the
-residual/left Krylov subspaces.
+"""Stage-order residuals, classical order, weak stage order, the
+residual/left Krylov subspaces, and the per-scheme analysis context.
 
 The weak stage order (WSO) of a scheme is the largest q such that
 b^T A^j tau^(k) = 0 for all 0 <= j <= s-1 and 1 <= k <= q, where
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
     Eliminator,
@@ -70,55 +71,40 @@ def _is_zero_scalar(t, x, scale, tol):
 
 def check_B(t, xi, tol=DEFAULT_TOL):
     """Quadrature conditions b^T c^(k-1) = 1/k for k = 1..xi."""
-    for k in range(1, xi + 1):
-        target = Fraction(1, k) if t.exact else 1.0 / k
-        val = vdot(t.b, vec_pow(t.c, k - 1))
-        if not _is_zero_scalar(t, val - target, abs(float(val)) + 1.0, tol):
-            return False
-    return True
-
-
-def check_C(t, xi, tol=DEFAULT_TOL):
-    """Stage quadrature conditions tau^(k) = 0 for k = 1..xi."""
-    for k in range(1, xi + 1):
-        v = tau(t, k)
-        scale = _tau_scale(t, [v])
-        if not all(_is_zero_scalar(t, x, scale, tol) for x in v):
-            return False
-    return True
-
-
-def stage_order_components(t, tol=DEFAULT_TOL):
-    """Largest q1 with B(q1) and q2 with C(q2); q2 may be INF.
-
-    B(2s+1) is impossible for an s-stage rule (quadrature exactness caps at
-    degree 2s-1), so the B loop stops there.  The C loop stops at the
-    saturation index: if all residuals through m* vanish, they all do.
-    """
-    q1 = 0
-    for k in range(1, 2 * t.s + 2):
-        if _b_single(t, k, tol):
-            q1 = k
-        else:
-            break
-    mstar = saturation_index(t, tol)
-    q2 = 0
-    for k in range(1, mstar + 1):
-        v = tau(t, k)
-        scale = _tau_scale(t, [v])
-        if all(_is_zero_scalar(t, x, scale, tol) for x in v):
-            q2 = k
-        else:
-            break
-    if q2 == mstar:
-        q2 = INF
-    return q1, q2
+    return all(_b_single(t, k, tol) for k in range(1, xi + 1))
 
 
 def _b_single(t, k, tol):
     target = Fraction(1, k) if t.exact else 1.0 / k
     val = vdot(t.b, vec_pow(t.c, k - 1))
     return _is_zero_scalar(t, val - target, abs(float(val)) + 1.0, tol)
+
+
+def check_C(t, xi, tol=DEFAULT_TOL):
+    """Stage quadrature conditions tau^(k) = 0 for k = 1..xi."""
+    return all(_c_single(t, tau(t, k), tol) for k in range(1, xi + 1))
+
+
+def _c_single(t, tk, tol):
+    scale = _tau_scale(t, [tk])
+    return all(_is_zero_scalar(t, x, scale, tol) for x in tk)
+
+
+def stage_order_components(t, tol=DEFAULT_TOL, ctx=None):
+    """Largest q1 with B(q1) and q2 with C(q2); q2 may be INF.
+
+    B(2s+1) is impossible for an s-stage rule (quadrature exactness caps at
+    degree 2s-1), so the B loop stops there.  The C loop stops at the
+    saturation index: if all residuals through m* vanish, they all do.
+    """
+    ctx = ctx or SchemeContext(t, tol)
+    top = 2 * t.s + 1
+    q1 = next((k - 1 for k in range(1, top + 1) if not _b_single(t, k, tol)), top)
+    q2 = next(
+        (k - 1 for k in range(1, ctx.mstar + 1) if not _c_single(t, ctx.tau(k), tol)),
+        INF,
+    )
+    return q1, q2
 
 
 def stage_order(t, tol=DEFAULT_TOL):
@@ -143,14 +129,6 @@ def classical_order(t, pmax=6, tol=DEFAULT_TOL):
     return p
 
 
-def _wso_condition_holds(t, tau_k, b_krylov, scale, tol):
-    """b^T A^j tau^(k) = 0 for all j, expressed via the precomputed left
-    Krylov rows b^T A^j."""
-    return all(
-        _is_zero_scalar(t, vdot(row, tau_k), scale, tol) for row in b_krylov
-    )
-
-
 def _left_krylov_rows(t, count=None):
     rows = [list(t.b)]
     for _ in range((count or t.s) - 1):
@@ -158,19 +136,20 @@ def _left_krylov_rows(t, count=None):
     return rows
 
 
-def wso(t, kcap=None, tol=DEFAULT_TOL):
+def wso(t, kcap=None, tol=DEFAULT_TOL, ctx=None):
     """Weak stage order by the algebraic definition; INF when the conditions
     survive through the saturation index."""
-    mstar = saturation_index(t, tol)
+    ctx = ctx or SchemeContext(t, tol, kcap)
+    mstar = ctx.mstar
     cap = mstar if kcap is None else min(kcap, mstar)
-    b_rows = _left_krylov_rows(t)
+    b_rows = ctx.b_rows
+    row_scale = max(1.0, max(abs(float(x)) for row in b_rows for x in row))
     q = 0
     for k in range(1, cap + 1):
-        tk = tau(t, k)
-        scale = _tau_scale(t, [tk]) * max(
-            1.0, max(abs(float(x)) for row in b_rows for x in row)
-        )
-        if _wso_condition_holds(t, tk, b_rows, scale, tol):
+        tk = ctx.tau(k)
+        scale = _tau_scale(t, [tk]) * row_scale
+        # b^T A^j tau^(k) = 0 for every left Krylov row b^T A^j
+        if all(_is_zero_scalar(t, vdot(row, tk), scale, tol) for row in b_rows):
             q = k
         else:
             return q
@@ -277,15 +256,15 @@ def space_Y(t, tol=DEFAULT_TOL):
     return SubspaceBasis("Y", None, basis, len(basis), t.exact)
 
 
-def wso_via_subspaces(t, kcap=None, tol=DEFAULT_TOL):
+def wso_via_subspaces(t, kcap=None, tol=DEFAULT_TOL, ctx=None):
     """WSO as the largest q with Y orthogonal to K_q (INF at saturation)."""
-    mstar = saturation_index(t, tol)
+    ctx = ctx or SchemeContext(t, tol, kcap)
+    mstar = ctx.mstar
     cap = mstar if kcap is None else min(kcap, mstar)
-    Y = space_Y(t, tol)
-    Kcap = space_K(t, cap, tol) if cap >= 1 else None
+    Y = ctx.Y
     q = 0
     for m in range(1, cap + 1):
-        K = Kcap.prefix(m)
+        K = ctx.K.prefix(m)
         scale = _tau_scale(t, list(Y.basis) + list(K.basis)) ** 2
         ortho = all(
             _is_zero_scalar(t, vdot(y, k), scale, tol)
@@ -309,21 +288,18 @@ class WsoOrthogonalityReport:
     consistent: bool
 
 
-def verify_wso_orthogonality(t, kcap=None, tol=DEFAULT_TOL):
+def verify_wso_orthogonality(t, kcap=None, tol=DEFAULT_TOL, ctx=None):
     """Cross-checks the algebraic WSO against the subspace route and the
     dimension bound dim Y + dim K_q <= s."""
-    q_alg = wso(t, kcap=kcap, tol=tol)
-    q_sub = wso_via_subspaces(t, kcap=kcap, tol=tol)
-    mstar = saturation_index(t, tol)
-    m_for_dim = mstar if math.isinf(q_alg) else max(1, min(int(q_alg), mstar))
-    dim_Y = space_Y(t, tol).dim
-    dim_K = space_K(t, m_for_dim, tol).dim if q_alg >= 1 else 0
-    dim_ok = dim_Y + dim_K <= t.s
+    ctx = ctx or SchemeContext(t, tol, kcap)
+    q_alg = ctx.q
+    q_sub = wso_via_subspaces(t, kcap, tol, ctx)
+    dim_ok = ctx.Y.dim + ctx.dim_Kq <= t.s
     return WsoOrthogonalityReport(
         q_algebraic=q_alg,
         q_subspace=q_sub,
-        dim_Y=dim_Y,
-        dim_K=dim_K,
+        dim_Y=ctx.Y.dim,
+        dim_K=ctx.dim_Kq,
         dim_sum_ok=dim_ok,
         consistent=(q_alg == q_sub) and dim_ok,
     )
@@ -347,3 +323,96 @@ def check_albrecht(t, p=None, tol=DEFAULT_TOL):
             if not _is_zero_scalar(t, vdot(b_rows[j], tk), scale, tol):
                 violations.append((j, k))
     return (not violations), violations
+
+
+class SchemeContext:
+    """The per-scheme quantities more than one analysis function reads, each
+    built once, on first use, for the length of one call.
+
+    Inputs: m* (`mstar`), tau^(k) (`tau(k)`), the left Krylov rows b^T A^j
+    (`b_rows`), Y, K_{m*+3} with its `dims` (K_m for m <= m*+3 is
+    `K.prefix(m)`) and the classification.  Results: the algebraic WSO `q`
+    under `kcap`, dim K_q, R(z), `p_linear`, P and Q.
+
+    Share inputs, never results: the three WSO routes (`wso`,
+    `wso_via_subspaces`, `stability.wso_via_wtilde`) and the two R(z)
+    routes read inputs from the context, never `q`, `R` or each other's
+    results, so that their agreement stays an independent check.  (The
+    alpha route is applied only where `p_linear` meets its hypothesis
+    p >= dim Y.)
+
+    A context lives for one call: `report.analyze` builds one, hands it to
+    every route and to `barrier_report`, and drops it; none is attached to
+    a tableau.  A function handed a context must be handed the tableau and
+    tolerances (and kcap) the context was built with; a function handed
+    none builds a fresh one.
+    """
+
+    def __init__(self, t, tol=DEFAULT_TOL, kcap=None):
+        self.t = t
+        self.tol = tol
+        self.kcap = kcap
+        self._tau = {}
+
+    def tau(self, k):
+        if k not in self._tau:
+            self._tau[k] = tau(self.t, k)
+        return self._tau[k]
+
+    @cached_property
+    def mstar(self):
+        return saturation_index(self.t, self.tol)
+
+    @cached_property
+    def b_rows(self):
+        return _left_krylov_rows(self.t)
+
+    @cached_property
+    def Y(self):
+        return space_Y(self.t, self.tol)
+
+    @cached_property
+    def K(self):
+        return space_K(self.t, self.mstar + 3, self.tol)
+
+    @cached_property
+    def cls(self):
+        from .tableau import classify
+
+        return classify(self.t, self.tol)
+
+    @cached_property
+    def q(self):
+        return wso(self.t, self.kcap, self.tol, self)
+
+    @cached_property
+    def dim_Kq(self):
+        """dim K_q, with K_q = K_{m*} for infinite q and K_0 = {0}."""
+        if self.q < 1:
+            return 0
+        m = self.mstar if math.isinf(self.q) else min(int(self.q), self.mstar)
+        return self.K.dims[m - 1]
+
+    @cached_property
+    def R(self):
+        from .stability import stability_function
+
+        return stability_function(self.t, self.tol)
+
+    @cached_property
+    def p_linear(self):
+        from .stability import order_vs_exp
+
+        return order_vs_exp(self.R, tol=self.tol)
+
+    @cached_property
+    def P(self):
+        from .minpoly import poly_P
+
+        return poly_P(self.t, tol=self.tol, ctx=self)
+
+    @cached_property
+    def Q(self):
+        from .minpoly import poly_Q
+
+        return poly_Q(self.t, self.tol, self)

@@ -64,10 +64,6 @@ class Polynomial:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]

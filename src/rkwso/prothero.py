@@ -40,9 +40,6 @@ class PRProblem:
     def dphi(self, ts):
         return self.phi_deriv(1, ts)
 
-    def with_lambda(self, lam):
-        return PRProblem(lam, self.phi_name, self._deriv)
-
 
 def _poly_deriv_factory(power):
     def deriv(k, ts):

@@ -9,25 +9,24 @@ from dataclasses import dataclass
 from .barriers import barrier_report
 from .minpoly import factorization
 from .orders import (
+    SchemeContext,
     check_albrecht,
     classical_order,
     stage_order_components,
     verify_wso_orthogonality,
-    wso,
 )
 from .poly import PolynomialError
 from .scalars import DEFAULT_TOL, format_scalar
 from .stability import (
+    SERIES_PMAX,
     STANDARD,
     check_alpha_vanishing,
     expand_in_basis,
-    order_vs_exp,
     ortho_basis,
     stability_from_alpha,
-    stability_function,
     wso_via_wtilde,
 )
-from .tableau import classify, serialize_tableau
+from .tableau import serialize_tableau
 
 
 @dataclass
@@ -54,23 +53,27 @@ class Analysis:
     consistency: dict
     warnings: list
     pmax: int = 6
-    series_pmax: int = 12
     kcap: int | None = None
 
 
-def analyze(t, tol=DEFAULT_TOL, pmax=6, series_pmax=12, kcap=None):
-    """Classification, orders, subspaces, polynomials, stability, barriers."""
+def analyze(t, tol=DEFAULT_TOL, pmax=6, kcap=None):
+    """Classification, orders, subspaces, polynomials, stability, barriers.
+
+    One `SchemeContext` serves every route and the barriers, and is dropped
+    on return.
+    """
+    ctx = SchemeContext(t, tol, kcap)
     warnings = []
-    cls = classify(t, tol)
-    q1, q2 = stage_order_components(t, tol)
+    cls = ctx.cls
+    q1, q2 = stage_order_components(t, tol, ctx)
     q_tilde = min(q1, q2)
-    q = wso(t, kcap=kcap, tol=tol)
+    q = ctx.q
     p_classical = classical_order(t, pmax, tol)
-    R = stability_function(t, tol)
-    p_linear = order_vs_exp(R, series_pmax, tol)
-    fact = factorization(t, q, tol)
-    orth = verify_wso_orthogonality(t, kcap=kcap, tol=tol)
-    q_wtilde = wso_via_wtilde(t, kcap=kcap, tol=tol)
+    R = ctx.R
+    p_linear = ctx.p_linear
+    fact = factorization(t, tol=tol, ctx=ctx)
+    orth = verify_wso_orthogonality(t, kcap, tol, ctx)
+    q_wtilde = wso_via_wtilde(t, kcap, tol, ctx)
     albrecht_ok, albrecht_viol = check_albrecht(t, p_classical, tol)
 
     consistency = {
@@ -127,24 +130,10 @@ def analyze(t, tol=DEFAULT_TOL, pmax=6, series_pmax=12, kcap=None):
         R_from_alpha=R_alpha,
         alphas=alphas,
         alpha_vanishing_ok=lemma_ok,
-        barrier=barrier_report(
-            t,
-            tol,
-            precomputed={
-                "classification": cls,
-                "wso": q,
-                "stability": R,
-                "p_linear": p_linear,
-                "dim_Y": dim_Y,
-                "dim_Kq": orth.dim_K,
-                "P": fact.P,
-                "Q": fact.Q,
-            },
-        ),
+        barrier=barrier_report(t, tol, ctx),
         consistency=consistency,
         warnings=warnings,
         pmax=pmax,
-        series_pmax=series_pmax,
         kcap=kcap,
     )
 
@@ -208,7 +197,7 @@ def report_dict(analysis, tol=DEFAULT_TOL, file_bytes=None):
         "tolerances": tol.as_dict(),
         "options": {
             "pmax": analysis.pmax,
-            "series_pmax": analysis.series_pmax,
+            "series_pmax": SERIES_PMAX,
             "kcap": analysis.kcap,
         },
     }

@@ -100,9 +100,3 @@ def format_scalar(x):
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
-
-
-def scalar_is_zero(x, exact, tol=DEFAULT_TOL, scale=1.0):
-    if exact:
-        return x == 0
-    return abs(x) <= tol.zero * max(1.0, scale)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import SingularMatrixError, det, solve, vdot
 from .minpoly import char_poly, poly_Q
-from .orders import space_Y, tau
+from .orders import SchemeContext, tau
 from .poly import Polynomial, RationalFunction, lagrange_interpolate
 from .scalars import DEFAULT_TOL
 
@@ -26,6 +26,8 @@ STANDARD = "standard"  # moments 1/(n+1)!  (Hankel shift m = 1)
 STIFF = "stiff"        # moments 1/n!      (Hankel shift m = 0)
 
 _VARIANT_SHIFT = {STANDARD: 1, STIFF: 0}
+
+SERIES_PMAX = 12  # Taylor terms of R(z) compared with exp(z) by order_vs_exp
 
 
 def _pencil_matrix(t, z, with_ebt):
@@ -69,7 +71,7 @@ def stability_function(t, tol=DEFAULT_TOL):
     return RationalFunction(num, den, tol)
 
 
-def order_vs_exp(R, pmax=12, tol=DEFAULT_TOL):
+def order_vs_exp(R, pmax=SERIES_PMAX, tol=DEFAULT_TOL):
     """Largest p <= pmax with R(z) = exp(z) + O(z^(p+1))."""
     r0 = R.evaluate(Fraction(0) if R.exact else 0.0)
     if (R.exact and r0 != 1) or (not R.exact and abs(float(r0) - 1.0) > tol.series_match):
@@ -326,13 +328,10 @@ def check_alpha_vanishing(alphas, d, p, exact, tol=DEFAULT_TOL):
 def expand_Q_in_basis(t, tol=DEFAULT_TOL):
     """Expansion of the scheme's left annihilator Q in the standard basis.
 
-    Returns (alphas, d) with d = dim Y = deg Q; a mismatch between the two
-    signals an upstream bug and raises.
+    Returns (alphas, d) with d = dim Y = deg Q.
     """
     Q = poly_Q(t, tol)
-    d = space_Y(t, tol).dim
-    if Q.degree != d:
-        raise RuntimeError("deg Q != dim Y (internal bug)")
+    d = Q.degree
     return expand_in_basis(Q, ortho_basis(max(d, 1), STANDARD)), d
 
 
@@ -401,10 +400,10 @@ def stability_from_alpha(alphas, d, p, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_form(t, k, tol=DEFAULT_TOL):
-    """phi(z) = b^T adj(I - zA) tau^(k) as a polynomial (degree <= s-1)."""
+def _resolvent_form(t, tk):
+    """phi(z) = b^T adj(I - zA) tau^(k) as a polynomial (degree <= s-1),
+    given tk = tau^(k)."""
     s = t.s
-    tk = tau(t, k)
     max_a = max(abs(float(x)) for row in t.A for x in row) if s else 0.0
     nodes, values = [], []
     z_int = 0
@@ -430,13 +429,13 @@ def _resolvent_form(t, k, tol=DEFAULT_TOL):
 
 def wtilde_k(t, k, tol=DEFAULT_TOL):
     """W~_k(z) = z b^T (I - zA)^{-1} tau^(k) as a rational function."""
-    phi = _resolvent_form(t, k, tol)
+    phi = _resolvent_form(t, tau(t, k))
     return RationalFunction(phi.shift(1), _det_poly(t, False, t.s), tol)
 
 
 def w_k(t, k, tol=DEFAULT_TOL):
     """W_k(z) = k b^T (I - zA)^{-1} tau^(k) / (R(z) - 1)."""
-    phi = _resolvent_form(t, k, tol)
+    phi = _resolvent_form(t, tau(t, k))
     den = _det_poly(t, False, t.s)
     num_R = _det_poly(t, True, t.s)
     r_minus_1 = num_R - den
@@ -448,28 +447,28 @@ def w_k(t, k, tol=DEFAULT_TOL):
     return RationalFunction(knum, r_minus_1, tol, require_origin=False)
 
 
-def wtilde_is_zero(t, k, tol=DEFAULT_TOL):
+def wtilde_is_zero(t, k, tol=DEFAULT_TOL, ctx=None):
     """Exact (or toleranced) test of W~_k == 0 as a polynomial identity."""
-    phi = _resolvent_form(t, k, tol)
+    tk = (ctx or SchemeContext(t, tol)).tau(k)
+    phi = _resolvent_form(t, tk)
     if t.exact:
         return phi.is_zero
     scale = max(
         [1.0]
-        + [abs(float(x)) for x in tau(t, k)]
+        + [abs(float(x)) for x in tk]
         + [abs(float(x)) for x in t.b]
     )
     return all(abs(c) <= tol.zero * scale for c in phi.coeffs)
 
 
-def wso_via_wtilde(t, kcap=None, tol=DEFAULT_TOL):
+def wso_via_wtilde(t, kcap=None, tol=DEFAULT_TOL, ctx=None):
     """WSO as the longest prefix of identically-vanishing W~_k."""
-    from .orders import saturation_index
-
-    mstar = saturation_index(t, tol)
+    ctx = ctx or SchemeContext(t, tol, kcap)
+    mstar = ctx.mstar
     cap = mstar if kcap is None else min(kcap, mstar)
     q = 0
     for k in range(1, cap + 1):
-        if wtilde_is_zero(t, k, tol):
+        if wtilde_is_zero(t, k, tol, ctx):
             q = k
         else:
             return q

@@ -57,11 +57,6 @@ class ButcherTableau:
     def meta_dict(self):
         return dict(self.metadata)
 
-    def with_name(self, name):
-        return ButcherTableau(
-            name, self.A, self.b, self.c, self.exact, self.source, self.metadata
-        )
-
 
 def make_tableau(A, b, c=None, name="", source="", exact=None, metadata=(),
                  tol=DEFAULT_TOL):

@@ -51,13 +51,6 @@ def _partitions(n):
     return tuple(out)
 
 
-def trees_up_to(order):
-    out = []
-    for n in range(1, order + 1):
-        out.extend(trees_of_order(n))
-    return out
-
-
 def node_count(tree):
     return 1 + sum(node_count(t) for t in tree)
 

@@ -210,7 +210,7 @@ def test_criterion_8_order_reduction_exhibit():
 
 def test_criterion_9_infeasible_target_detection():
     with criterion(9, "generic search rejects (2,3,3) citing the barrier", 5.0):
-        outcome = generic_search(ConstructionSpec(family="generic", targets=(2, 3, 3)))
+        outcome = generic_search(ConstructionSpec(targets=(2, 3, 3)))
         assert outcome.tableau is None
         assert not outcome.feasible
         assert NAME_DIRK_WSO_ORDER_BUDGET in outcome.diagnostic

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from rkwso import barriers
 from rkwso.barriers import (
     NAME_DIMK_UPPER,
     NAME_DIMK_UPPER_DIRK,
@@ -24,7 +23,6 @@ from rkwso.barriers import (
     barrier_report,
 )
 from rkwso.catalog import catalog_all, catalog_scheme
-from rkwso.orders import wso
 from rkwso.scalars import Tolerances
 from rkwso.tableau import make_tableau
 
@@ -207,19 +205,6 @@ def test_no_catalog_scheme_violates_any_barrier():
 
 
 class TestInputsAndTolerances:
-    def test_precomputed_wso_is_not_recomputed(self, monkeypatch):
-        t = catalog_scheme("sdirk2-wso1")
-        expected = barrier_report(t).as_dict()
-        q = wso(t)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("wso recomputed despite a precomputed value")
-
-        monkeypatch.setattr(barriers, "wso", fail)
-        with pytest.raises(AssertionError):
-            barrier_report(t)
-        assert barrier_report(t, precomputed={"wso": q}).as_dict() == expected
-
     @pytest.mark.parametrize("tie, vanishes", [(1e-6, True), (None, False)])
     def test_checkers_agree_on_a_vanishing_abscissa(self, tie, vanishes):
         # c_1 = 1e-8 is zero under a tie tolerance of 1e-6, not under 1e-10

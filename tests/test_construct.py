@@ -204,9 +204,7 @@ class TestThreeStageSweep:
 
 class TestGenericSearch:
     def test_infeasible_targets_cite_the_barrier(self):
-        outcome = generic_search(
-            ConstructionSpec(family="generic", targets=(2, 3, 3))
-        )
+        outcome = generic_search(ConstructionSpec(targets=(2, 3, 3)))
         assert outcome.tableau is None
         assert not outcome.feasible
         assert NAME_DIRK_WSO_ORDER_BUDGET in outcome.diagnostic
@@ -218,9 +216,7 @@ class TestGenericSearch:
         assert not bad and NAME_DIRK_WSO_ORDER_BUDGET in diag
 
     def test_recovers_two_stage_family(self):
-        outcome = generic_search(
-            ConstructionSpec(family="generic", targets=(2, 2, 3)), n_starts=30
-        )
+        outcome = generic_search(ConstructionSpec(targets=(2, 2, 3)), n_starts=30)
         assert outcome.tableau is not None
         t = outcome.tableau
         assert wso(t) == 3
@@ -234,9 +230,7 @@ class TestGenericSearch:
         ) <= 1e-8
 
     def test_finds_three_stage_family_member(self):
-        outcome = generic_search(
-            ConstructionSpec(family="generic", targets=(3, 3, 3)), n_starts=40
-        )
+        outcome = generic_search(ConstructionSpec(targets=(3, 3, 3)), n_starts=40)
         assert outcome.tableau is not None
         t = outcome.tableau
         assert wso(t) == 3
@@ -253,7 +247,7 @@ class TestGenericSearch:
 def test_generic_search_honors_diagonal_seed():
     a11 = 1 - SQRT2 / 2
     outcome = generic_search(
-        ConstructionSpec(family="generic", targets=(2, 2, 3), diagonal_seed=(a11,)),
+        ConstructionSpec(targets=(2, 2, 3), diagonal_seed=(a11,)),
         n_starts=30,
     )
     assert outcome.tableau is not None
