@@ -1,27 +1,30 @@
 """Constructors for the parameterized high-WSO DIRK families and a
 necessary-condition-guided search over generic DIRK targets.
 
-The two-stage family is closed form.  The three-stage family fixes the
-leading block and last diagonal entry, solves the remaining third-row
-entries by multi-start damped Newton (three solution branches: two stage
-reducible, one not), and picks the irreducible branch.  A polished
-third-row root is accepted when each residual is at most ROOT_REL_RESIDUAL
-times the sum of the absolute values of its own terms, so roots with large
-entries near a pole parameter are kept.  The returned scheme is confirmed
-(stage-irreducible, WSO 3, classical order 3) before it is returned.
+Both families are closed form.  The three-stage family fixes the leading
+block (the two-stage matrix scaled by a) and a33 = (3a - 2)/(6(a - 1)).  Its
+third-row equations, row 3 of (A - a11 I) tau^(j) = 0 for j = 2, 3, have
+three solution branches: c3 = c1 and c3 = c2, which are stage reducible, and
+
+    c3* = (3a - 2)(a^2 - 4a + 2) / (2 (a - 1)(3a^2 - 6a + 2)),
+
+the same for both signs.  On that branch (a31, a32) solve the row sum
+a31 + a32 = c3* - a33 and the j = 2 equation (Cramer's rule), and b solves
+b^T (e, c, tau2) = (1, 1/2, 0).  The branches are classified by
+`s_reducibility`, and the returned scheme is confirmed (stage-irreducible,
+WSO 3, classical order 3) before it is returned.
 
 The parameter a must avoid 0, 2/3 and 1, and the degenerate parameters of
-`degenerate_parameters`: a = 1 -/+ 1/sqrt(3), where the irreducible branch
-passes through infinity, and the two roots of a33 = a11, where the
-third-row solutions are not isolated.  Those, and any parameter next to them
-where rounding defeats the solve or the confirmation, raise
-DegenerateParameterError.
+`degenerate_parameters`: a = 1 -/+ 1/sqrt(3), where c3* and the 2x2 solve
+pass through infinity.  Within about 6e-4 of them the entries exceed 3e9,
+the float confirmation fails (see `build_wso3_p3_s3`), and
+DegenerateParameterError is raised as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,22 +35,6 @@ from .tableau import make_tableau, s_reducibility
 
 SQRT2 = math.sqrt(2.0)
 
-# 8 deterministic Newton seeds covering [-3, 3]^2
-NEWTON_SEEDS = (
-    (-3.0, -3.0),
-    (-3.0, 3.0),
-    (3.0, -3.0),
-    (3.0, 3.0),
-    (-1.0, 0.0),
-    (1.0, 0.0),
-    (0.0, -1.0),
-    (0.0, 1.0),
-)
-
-# A third-row root is accepted when each residual is at most this fraction
-# of the sum of the absolute values of its terms (rounding level in binary64)
-ROOT_REL_RESIDUAL = 1e-13
-
 # relative distance at which a is taken to be a degenerate parameter
 DEGENERATE_TIE = 1e-12
 
@@ -57,8 +44,8 @@ class ConstructionError(RuntimeError):
 
 
 class DegenerateParameterError(ConstructionError):
-    """The (3,3,3) family's branch picture breaks down at (or, by rounding,
-    next to) one of its degenerate parameters."""
+    """The (3,3,3) family's irreducible branch is undefined at (or, by
+    rounding, fails its confirmation next to) a degenerate parameter."""
 
 
 @dataclass(frozen=True)
@@ -103,44 +90,190 @@ def build_wso3_p2_s2(sign="minus"):
     )
 
 
-def _third_row_residual(x, data, magnitude=False):
-    """Rows 3 of (A - a11 I) tau^(j) = 0 for j = 2, 3.
-
-    With magnitude=True every term of the same sums enters by its absolute
-    value, which gives the size against which a root's residual is judged.
-    """
+def _third_row_residual(x, data):
+    """Max-norm of rows 3 of (A - a11 I) tau^(j) for j = 2, 3."""
     a31, a32 = x
     a11, a21, a22, a33 = data["a11"], data["a21"], data["a22"], data["a33"]
     c1, c2 = data["c1"], data["c2"]
     c3 = a31 + a32 + a33
-
-    def add(*terms):
-        return sum(abs(t) for t in terms) if magnitude else sum(terms)
-
-    out = np.empty(2)
-    for idx, j in enumerate((2, 3)):
-        t1 = add(a11 * c1 ** (j - 1), -(c1 ** j / j))
-        t2 = add(a21 * c1 ** (j - 1), a22 * c2 ** (j - 1), -(c2 ** j / j))
-        t3 = add(
-            a31 * c1 ** (j - 1),
-            a32 * c2 ** (j - 1),
-            a33 * c3 ** (j - 1),
-            -(c3 ** j / j),
-        )
-        out[idx] = add(a31 * t1, a32 * t2, (a33 - a11) * t3)
-    return out
+    out = []
+    for j in (2, 3):
+        t1 = a11 * c1 ** (j - 1) - c1 ** j / j
+        t2 = a21 * c1 ** (j - 1) + a22 * c2 ** (j - 1) - c2 ** j / j
+        t3 = a31 * c1 ** (j - 1) + a32 * c2 ** (j - 1) + a33 * c3 ** (j - 1) - c3 ** j / j
+        out.append(abs(a31 * t1 + a32 * t2 + (a33 - a11) * t3))
+    return max(out)
 
 
-def _is_third_row_root(x, data):
-    """Residual at rounding level relative to the size of its own terms.
+@dataclass(frozen=True)
+class ThirdRowSolve:
+    branches: tuple  # (a31, a32) for c3 = c1, c3 = c2 and c3 = c3*
+    irreducible_index: int
+    reducible_indices: tuple
 
-    An absolute target rejects genuine roots whose entries are large: near
-    the parameters where the irreducible branch passes through infinity the
-    entries reach 1e2..1e5, and rounding alone leaves residuals above 1e-12.
+
+def _family_data(a, sign):
+    sg = _sign_factor(sign)
+    a11 = (1.0 + sg * SQRT2 / 2.0) * a
+    a21 = (0.5 - sg * SQRT2 / 2.0) * a
+    a22 = 0.5 * a
+    a33 = (3 * a - 2) / (6 * (a - 1))
+    return {"a11": a11, "a21": a21, "a22": a22, "a33": a33, "c1": a11, "c2": a21 + a22}
+
+
+def _irreducible_row(a, data):
+    """(a31, a32) on the branch c3 = c3*: with c3 fixed, the row sum and the
+    j = 2 third-row equation alpha a31 + beta a32 + gamma = 0 are linear in
+    (a31, a32); beta - alpha vanishes only at a = 0 and at the poles."""
+    a11, a21, a22, a33 = data["a11"], data["a21"], data["a22"], data["a33"]
+    c1, c2 = data["c1"], data["c2"]
+    c3 = (3 * a - 2) * (a * a - 4 * a + 2) / (2 * (a - 1) * (3 * a * a - 6 * a + 2))
+    alpha = a11 * c1 - c1 ** 2 / 2 + (a33 - a11) * c1
+    beta = a21 * c1 + a22 * c2 - c2 ** 2 / 2 + (a33 - a11) * c2
+    gamma = (a33 - a11) * (a33 * c3 - c3 ** 2 / 2)
+    rowsum = c3 - a33
+    det = beta - alpha
+    return (rowsum * beta + gamma) / det, -(rowsum * alpha + gamma) / det
+
+
+def _assemble3(a, sign, a31, a32, data, extra=(), strict_b=False):
+    A = [
+        [data["a11"], 0.0, 0.0],
+        [data["a21"], data["a22"], 0.0],
+        [a31, a32, data["a33"]],
+    ]
+    # b solves b^T (e, c, tau2) = (1, 1/2, 0); on stage-reducible branches
+    # the system is singular and a least-squares b only serves classification
+    An = np.array(A)
+    c = An.sum(axis=1)
+    tau2 = An @ c - c ** 2 / 2.0
+    M = np.column_stack([np.ones(3), c, tau2])
+    rhs = np.array([1.0, 0.5, 0.0])
+    if strict_b:
+        b = np.linalg.solve(M.T, rhs)
+        # near the pole parameters the entries of M grow without bound, and
+        # the rounding in the solve with them
+        resid = float(np.max(np.abs(M.T @ b - rhs)))
+        if resid > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
+            raise ConstructionError(
+                f"weight solve failed on the selected branch (residual {resid:g})"
+            )
+    else:
+        b, *_ = np.linalg.lstsq(M.T, rhs, rcond=None)
+    meta = [("family", "wso3_p3_s3"), ("a", repr(float(a))), ("sign", sign), *extra]
+    return make_tableau(
+        A,
+        list(b),
+        name=f"wso3-p3-s3-a{a}-{sign}",
+        source="three-stage WSO-3 family",
+        exact=False,
+        metadata=tuple(sorted(meta)),
+    )
+
+
+def solve_branches(a, sign, tol=DEFAULT_TOL):
+    """The three third-row branches in closed form, (a31, a32) for c3 = c1,
+    c3 = c2 and c3 = c3*, each classified by `s_reducibility`."""
+    _validate_a(a, sign)
+    data = _family_data(a, sign)
+    branches = (
+        (data["a11"] - data["a33"], 0.0),
+        (data["a21"], data["a22"] - data["a33"]),
+        _irreducible_row(a, data),
+    )
+    irreducible = [
+        i
+        for i, (a31, a32) in enumerate(branches)
+        if s_reducibility(_assemble3(a, sign, a31, a32, data), tol) is None
+    ]
+    if len(irreducible) != 1:
+        raise _breakdown(a, sign, f"{len(irreducible)} stage-irreducible branches")
+    reducible = tuple(i for i in range(len(branches)) if i not in irreducible)
+    return data, ThirdRowSolve(branches, irreducible[0], reducible)
+
+
+def degenerate_parameters(sign):
+    """Parameters where the (3,3,3) family's irreducible branch is undefined,
+    sorted: the zeros a = 1 -/+ 1/sqrt(3) of 3a^2 - 6a + 2, where c3* and the
+    2x2 solve for (a31, a32) pass through infinity.  They are the same for
+    either sign.
+
+    No other real parameter is degenerate.  c3* meets c1 or c2, and the
+    weight system b^T (e, c, tau2) is singular, only at non-real a.  Where
+    a33 = a11 the two third-row equations coincide, but the closed form still
+    gives a stage-irreducible scheme with WSO 3 and order 3.
     """
-    resid = np.abs(_third_row_residual(x, data))
-    size = _third_row_residual(x, data, magnitude=True)
-    return bool(np.all(resid <= ROOT_REL_RESIDUAL * size))
+    _sign_factor(sign)
+    return (1.0 - 1.0 / math.sqrt(3.0), 1.0 + 1.0 / math.sqrt(3.0))
+
+
+EXCLUDED_PARAMETERS = (
+    "a must avoid 0, 2/3 and 1, and the degenerate parameters 1 -/+ 1/sqrt(3)"
+)
+
+
+def _breakdown(a, sign, reason):
+    nearest = min(degenerate_parameters(sign), key=lambda d: abs(a - d))
+    return DegenerateParameterError(
+        f"{reason} at a = {a!r} ({sign}); nearest degenerate parameter "
+        f"{nearest!r} at distance {abs(a - nearest):.3g}; {EXCLUDED_PARAMETERS}"
+    )
+
+
+def _validate_a(a, sign):
+    if a in (0.0, 1.0) or abs(a - 2.0 / 3.0) < 1e-14:
+        raise ConstructionError(f"inadmissible a = {a!r}: {EXCLUDED_PARAMETERS}")
+    for d in degenerate_parameters(sign):
+        if abs(a - d) <= DEGENERATE_TIE * abs(d):
+            raise DegenerateParameterError(
+                f"a = {a!r} is the degenerate parameter {d!r} ({sign}); "
+                f"{EXCLUDED_PARAMETERS}"
+            )
+
+
+def eigenvalue_sign_note(a):
+    """The family has positive diagonal (eigenvalues) iff 0 < a < 2/3 or a > 1."""
+    return bool(0.0 < a < 2.0 / 3.0 or a > 1.0)
+
+
+def build_wso3_p3_s3(a, sign="minus", tol=DEFAULT_TOL):
+    """Three-stage order-3 WSO-3 DIRK for parameter a (float backend), from
+    the closed form of its irreducible branch.
+
+    The returned scheme is confirmed under tol: stage-irreducible, WSO 3 and
+    classical order 3.  Its metadata records the third-row residual.  Raises
+    DegenerateParameterError at a = 1 -/+ 1/sqrt(3), and where the scheme
+    fails that confirmation: within about 6e-4 of 1 + 1/sqrt(3) and 1e-4 of
+    1 - 1/sqrt(3), where max|A| passes 3e9 and the float WSO test reports
+    WSO inf.
+
+    The weights come from an LU solve.  A least-squares (SVD) solve loses
+    accuracy as the entries grow: at a ~ 1.5555 (sign plus, 0.022 from
+    1 + 1/sqrt(3), max|A| = 6e4) it leaves b^T A c - 1/6 = -3.3e-10, which
+    `orders.classical_order` does not take for zero, since it scales its
+    zero test by |weight| + 1 and not by the size of the terms; at
+    a ~ 1.5757 (max|A| = 1.5e8) the order it leaves is 0.
+    """
+    data, result = solve_branches(a, sign, tol)
+    a31, a32 = result.branches[result.irreducible_index]
+    extra = (
+        ("branch", "irreducible"),
+        ("residual", repr(_third_row_residual((a31, a32), data))),
+        ("positive_eigenvalues", str(eigenvalue_sign_note(a))),
+    )
+    t = _assemble3(a, sign, a31, a32, data, extra, strict_b=True)
+    if (
+        s_reducibility(t, tol) is not None
+        or wso(t, tol=tol) != 3
+        or classical_order(t, tol=tol) != 3
+    ):
+        raise _breakdown(a, sign, "the irreducible branch fails confirmation")
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Generic necessary-condition-guided search
+# ---------------------------------------------------------------------------
 
 
 def _damped_newton(fun, x0, maxit=100):
@@ -181,251 +314,6 @@ def _damped_newton(fun, x0, maxit=100):
             break
         x = x + lam * step
     return best, best_norm
-
-
-@dataclass
-class ThirdRowSolve:
-    branches: list = field(default_factory=list)  # (a31, a32) solutions
-    residuals: list = field(default_factory=list)
-    irreducible_index: int = -1
-    reducible_indices: list = field(default_factory=list)
-
-
-def _branch_roots_via_elimination(data):
-    """All third-row branches by eliminating (a31, a32).
-
-    With c3 = a31 + a32 + a33 held fixed, both residual equations become
-    linear in (a31, a32); together with the row-sum constraint this is an
-    overdetermined 3x2 linear system whose consistency determinant is a
-    cubic polynomial in c3.  Its real roots enumerate every branch, even
-    those far outside any reasonable Newton seed box (the unreduced branch
-    passes through infinity as the family parameter varies).
-    """
-    a11, a21, a22, a33 = data["a11"], data["a21"], data["a22"], data["a33"]
-    c1, c2 = data["c1"], data["c2"]
-    t1 = {j: a11 * c1 ** (j - 1) - c1 ** j / j for j in (2, 3)}
-    t2 = {j: a21 * c1 ** (j - 1) + a22 * c2 ** (j - 1) - c2 ** j / j for j in (2, 3)}
-    alpha = {j: t1[j] + (a33 - a11) * c1 ** (j - 1) for j in (2, 3)}
-    beta = {j: t2[j] + (a33 - a11) * c2 ** (j - 1) for j in (2, 3)}
-
-    def gamma(j, c3):
-        return (a33 - a11) * (a33 * c3 ** (j - 1) - c3 ** j / j)
-
-    def consistency_det(c3):
-        M = np.array(
-            [
-                [1.0, 1.0, c3 - a33],
-                [alpha[2], beta[2], -gamma(2, c3)],
-                [alpha[3], beta[3], -gamma(3, c3)],
-            ]
-        )
-        return float(np.linalg.det(M))
-
-    # cubic in c3 via interpolation at 4 nodes
-    nodes = np.array([0.0, 1.0, -1.0, 2.0])
-    vals = np.array([consistency_det(z) for z in nodes])
-    coeffs = np.polyfit(nodes, vals, 3)
-    roots = np.roots(coeffs)
-    scale = max(1.0, float(np.max(np.abs(roots)))) if len(roots) else 1.0
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-8 * scale:
-            continue
-        c3 = float(r.real)
-        M = np.array([[1.0, 1.0], [alpha[2], beta[2]], [alpha[3], beta[3]]])
-        rhs = np.array([c3 - a33, -gamma(2, c3), -gamma(3, c3)])
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        out.append(tuple(sol))
-    return out
-
-
-def _dedupe_roots(found, candidate):
-    arr = np.array(candidate)
-    for f in found:
-        ref = np.array(f)
-        scale = max(1.0, float(np.max(np.abs(ref))), float(np.max(np.abs(arr))))
-        if float(np.max(np.abs(arr - ref))) < 1e-7 * scale:
-            return False
-    return True
-
-
-def _solve_third_row(a, sign, tol=DEFAULT_TOL, seeds=NEWTON_SEEDS):
-    sg = _sign_factor(sign)
-    a11 = (1.0 + sg * SQRT2 / 2.0) * a
-    a21 = (0.5 - sg * SQRT2 / 2.0) * a
-    a22 = 0.5 * a
-    a33 = (3 * a - 2) / (6 * (a - 1))
-    data = {
-        "a11": a11,
-        "a21": a21,
-        "a22": a22,
-        "a33": a33,
-        "c1": a11,
-        "c2": a21 + a22,
-    }
-    fun = lambda x: _third_row_residual(x, data)
-    found = []
-
-    def polish(start):
-        sol, _ = _damped_newton(fun, start)
-        if (
-            sol is not None
-            and _is_third_row_root(sol, data)
-            and _dedupe_roots(found, sol)
-        ):
-            found.append(tuple(sol))
-
-    for seed in seeds:
-        polish(seed)
-    if len(found) < 3:
-        # the seed grid missed a branch; enumerate them all by elimination
-        # and polish each candidate with the same Newton iteration
-        for candidate in _branch_roots_via_elimination(data):
-            polish(candidate)
-    # deterministic branch order regardless of which start found what
-    found.sort()
-    return data, found
-
-
-def _assemble3(a, sign, a31, a32, data, branch_note="", strict_b=False):
-    A = [
-        [data["a11"], 0.0, 0.0],
-        [data["a21"], data["a22"], 0.0],
-        [a31, a32, data["a33"]],
-    ]
-    # b solves b^T (e, c, tau2) = (1, 1/2, 0); on stage-reducible branches
-    # the system is singular and a least-squares b only serves classification
-    An = np.array(A)
-    c = An.sum(axis=1)
-    tau2 = An @ c - c ** 2 / 2.0
-    M = np.column_stack([np.ones(3), c, tau2])
-    rhs = np.array([1.0, 0.5, 0.0])
-    b, *_ = np.linalg.lstsq(M.T, rhs, rcond=None)
-    if strict_b:
-        # near the pole parameters the entries of M reach 1e5 and the
-        # rounding in the solve grows with them
-        resid = float(np.max(np.abs(M.T @ b - rhs)))
-        if resid > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
-            raise ConstructionError(
-                f"weight solve failed on the selected branch (residual {resid:g})"
-            )
-    meta = [
-        ("family", "wso3_p3_s3"),
-        ("a", repr(float(a))),
-        ("sign", sign),
-    ]
-    if branch_note:
-        meta.append(("branch", branch_note))
-    return make_tableau(
-        A,
-        list(b),
-        name=f"wso3-p3-s3-a{a}-{sign}",
-        source="three-stage WSO-3 family",
-        exact=False,
-        metadata=tuple(meta),
-    )
-
-
-def solve_branches(a, sign, tol=DEFAULT_TOL):
-    """All third-row branches with their reducibility classification."""
-    _validate_a(a, sign)
-    data, found = _solve_third_row(a, sign, tol)
-    if not found:
-        raise ConstructionError("Newton failed from every seed")
-    result = ThirdRowSolve()
-    for a31, a32 in found:
-        t = _assemble3(a, sign, a31, a32, data)
-        result.branches.append((a31, a32))
-        result.residuals.append(
-            float(np.max(np.abs(_third_row_residual(np.array([a31, a32]), data))))
-        )
-        if s_reducibility(t, tol) is None:
-            if result.irreducible_index >= 0:
-                raise _breakdown(a, sign, "more than one stage-irreducible branch")
-            result.irreducible_index = len(result.branches) - 1
-        else:
-            result.reducible_indices.append(len(result.branches) - 1)
-    if result.irreducible_index < 0:
-        raise _breakdown(a, sign, "no stage-irreducible branch was resolved")
-    return data, result
-
-
-def degenerate_parameters(sign):
-    """Parameters where the three-branch picture of the (3,3,3) family breaks
-    down, sorted.
-
-    At a = 1 -/+ 1/sqrt(3) (either sign) beta_2 = alpha_2 in the elimination,
-    the consistency cubic loses its leading coefficient and the irreducible
-    branch passes through infinity.  Where a33 = a11, that is
-    6 k a (a - 1) = 3a - 2 with k = 1 -/+ sqrt(2)/2 for sign minus/plus, the
-    third-row solutions are no longer isolated.
-    """
-    k = 1.0 + _sign_factor(sign) * SQRT2 / 2.0
-    disc = math.sqrt((6 * k + 3) ** 2 - 48 * k)
-    poles = (1.0 - 1.0 / math.sqrt(3.0), 1.0 + 1.0 / math.sqrt(3.0))
-    ties = ((6 * k + 3 - disc) / (12 * k), (6 * k + 3 + disc) / (12 * k))
-    return tuple(sorted(poles + ties))
-
-
-EXCLUDED_PARAMETERS = (
-    "a must avoid 0, 2/3 and 1, and the degenerate parameters "
-    "1 -/+ 1/sqrt(3) and the roots of 6 (1 -/+ sqrt(2)/2) a (a - 1) = 3a - 2 "
-    "(sign minus/plus)"
-)
-
-
-def _breakdown(a, sign, reason):
-    nearest = min(degenerate_parameters(sign), key=lambda d: abs(a - d))
-    return DegenerateParameterError(
-        f"{reason} at a = {a!r} ({sign}); nearest degenerate parameter "
-        f"{nearest!r} at distance {abs(a - nearest):.3g}; {EXCLUDED_PARAMETERS}"
-    )
-
-
-def _validate_a(a, sign):
-    if a in (0.0, 1.0) or abs(a - 2.0 / 3.0) < 1e-14:
-        raise ConstructionError(f"inadmissible a = {a!r}: {EXCLUDED_PARAMETERS}")
-    for d in degenerate_parameters(sign):
-        if abs(a - d) <= DEGENERATE_TIE * abs(d):
-            raise DegenerateParameterError(
-                f"a = {a!r} is the degenerate parameter {d!r} ({sign}); "
-                f"{EXCLUDED_PARAMETERS}"
-            )
-
-
-def eigenvalue_sign_note(a):
-    """The family has positive diagonal (eigenvalues) iff 0 < a < 2/3 or a > 1."""
-    return bool(0.0 < a < 2.0 / 3.0 or a > 1.0)
-
-
-def build_wso3_p3_s3(a, sign="minus", tol=DEFAULT_TOL):
-    """Three-stage order-3 WSO-3 DIRK for parameter a (float backend).
-
-    The returned scheme is confirmed under tol: stage-irreducible, WSO 3 and
-    classical order 3.  Raises DegenerateParameterError where the branch
-    picture breaks down or the scheme fails that confirmation.
-    """
-    import dataclasses
-
-    data, result = solve_branches(a, sign, tol)
-    a31, a32 = result.branches[result.irreducible_index]
-    t = _assemble3(a, sign, a31, a32, data, branch_note="irreducible", strict_b=True)
-    if (
-        s_reducibility(t, tol) is not None
-        or wso(t, tol=tol) != 3
-        or classical_order(t, tol=tol) != 3
-    ):
-        raise _breakdown(a, sign, "the irreducible branch fails confirmation")
-    meta = list(t.metadata)
-    meta.append(("newton_residual", repr(result.residuals[result.irreducible_index])))
-    meta.append(("branch_count", str(len(result.branches))))
-    meta.append(("positive_eigenvalues", str(eigenvalue_sign_note(a))))
-    return dataclasses.replace(t, metadata=tuple(sorted(meta)))
-
-
-# ---------------------------------------------------------------------------
-# Generic necessary-condition-guided search
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, report determinism."""
 
 import json
+import math
 
 from rkwso.cli import main
 from rkwso.tableau import parse_tableau
@@ -105,6 +106,20 @@ class TestConstruct:
     def test_bad_parameter_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "construct", "wso3-p3-s3", "--a", "1.0")
         assert code == 3
+
+    def test_tie_parameter_builds(self, capsys):
+        # a root of a33 = a11, 6 (1 - sqrt(2)/2) a (a - 1) = 3a - 2, is admissible
+        code, out, _ = run_cli(
+            capsys, "construct", "wso3-p3-s3", "--a", "0.5204654038062544", "--sign", "minus"
+        )
+        assert code == 0
+        assert parse_tableau(out).s == 3
+
+    def test_pole_parameter_exit_3(self, capsys):
+        pole = 1 + 1 / math.sqrt(3)
+        code, _, err = run_cli(capsys, "construct", "wso3-p3-s3", "--a", repr(pole))
+        assert code == 3
+        assert "is the degenerate parameter" in err
 
 
 class TestConverge:

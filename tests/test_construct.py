@@ -1,5 +1,5 @@
-"""Scheme constructors: the closed-form two-stage family, the Newton-solved
-three-stage family, and the generic target search."""
+"""Scheme constructors: the closed-form two-stage and three-stage families,
+and the generic target search."""
 
 import math
 
@@ -156,9 +156,19 @@ def _ties(sign):
 
 
 def _degenerate(sign):
-    """Degenerate parameters of the (3,3,3) family from their closed forms:
-    the poles a = 1 -/+ 1/sqrt(3) and the roots of a33 = a11."""
-    return sorted([1 - 1 / math.sqrt(3), 1 + 1 / math.sqrt(3)] + _ties(sign))
+    """Degenerate parameters of the (3,3,3) family from their closed form:
+    the poles a = 1 -/+ 1/sqrt(3), the zeros of 3a^2 - 6a + 2."""
+    return sorted([1 - 1 / math.sqrt(3), 1 + 1 / math.sqrt(3)])
+
+
+def _c3_star(a):
+    return (3 * a - 2) * (a * a - 4 * a + 2) / (2 * (a - 1) * (3 * a * a - 6 * a + 2))
+
+
+def _assert_sweep_checks(t, a):
+    assert s_reducibility(t) is None, a
+    assert wso(t) == 3, a
+    assert classical_order(t) == 3, a
 
 
 # 66 points in [0.01, 0.66] and 99 in [1.01, 2.99], per sign
@@ -167,31 +177,51 @@ SWEEP = [float(a) for a in np.linspace(0.01, 0.66, 66)] + [
 ]
 
 
+class TestThreeStageClosedForm:
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_third_abscissa_is_c3_star(self, sign):
+        for a in (0.05, 0.3, 0.5, 0.6, 1.2, 1.5, 2.0, 2.9):
+            t = build_wso3_p3_s3(a, sign)
+            row_sum = sum(float(x) for x in t.A[2])
+            assert row_sum == pytest.approx(_c3_star(a), rel=1e-13, abs=1e-13)
+
+    def test_half_matches_exact_entries(self):
+        t = build_wso3_p3_s3(0.5, "minus")
+        assert abs(float(t.a(2, 2)) - 1 / 6) <= 1e-15
+        assert abs(float(t.b[2]) + 1 / 21) <= 1e-15
+        assert abs(float(t.a(2, 0)) - (23 - 20 * SQRT2) / 12) <= 1e-15
+        t = build_wso3_p3_s3(0.5, "plus")
+        assert abs(float(t.a(2, 2)) - 1 / 6) <= 1e-15
+        assert abs(float(t.b[2]) + 1 / 21) <= 1e-15
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 2.0])
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_reducible_branches_are_exact_expressions(self, a, sign):
+        data, result = solve_branches(a, sign)
+        reducible = {result.branches[i] for i in result.reducible_indices}
+        assert reducible == {
+            (data["a11"] - data["a33"], 0.0),
+            (data["a21"], data["a22"] - data["a33"]),
+        }
+
+
 class TestThreeStageSweep:
     @pytest.mark.parametrize("sign", ["minus", "plus"])
     def test_degenerate_parameters_match_closed_forms(self, sign):
         assert degenerate_parameters(sign) == pytest.approx(
             _degenerate(sign), rel=1e-14
         )
-        for a in _ties(sign):
-            a33, a11 = (3 * a - 2) / (6 * (a - 1)), _k(sign) * a
-            assert a33 == pytest.approx(a11, rel=1e-12)
+        for a in degenerate_parameters(sign):
+            assert 3 * a * a - 6 * a + 2 == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("sign", ["minus", "plus"])
     def test_grid_builds_or_names_degeneracy(self, sign):
-        degenerate = _degenerate(sign)
+        # every grid point builds, 1.5757 at 0.0016 from the pole 1 + 1/sqrt(3)
+        # included; the named errors lie within 6e-4 of a pole
         for a in SWEEP:
-            try:
-                t = build_wso3_p3_s3(a, sign)
-            except DegenerateParameterError:
-                # only rounding next to a degenerate parameter may defeat it
-                assert min(abs(a - d) for d in degenerate) <= 0.025, a
-                continue
-            assert s_reducibility(t) is None, a
-            assert wso(t) == 3, a
-            assert classical_order(t) == 3, a
+            _assert_sweep_checks(build_wso3_p3_s3(a, sign), a)
 
-    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("index", range(2))
     @pytest.mark.parametrize("sign", ["minus", "plus"])
     def test_degenerate_parameter_is_named(self, sign, index):
         a = _degenerate(sign)[index]
@@ -200,6 +230,24 @@ class TestThreeStageSweep:
             build_wso3_p3_s3(a, sign)
         with pytest.raises(DegenerateParameterError):
             solve_branches(a, sign)
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_next_to_a_pole_builds_or_names_it(self, sign):
+        pole = 1 + 1 / math.sqrt(3)
+        for a in (pole - 1e-3, pole + 1e-3):
+            _assert_sweep_checks(build_wso3_p3_s3(a, sign), a)
+        # entries near 1e17: the float confirmation cannot hold there
+        with pytest.raises(DegenerateParameterError, match="fails confirmation"):
+            build_wso3_p3_s3(pole + 1e-6, sign)
+
+    @pytest.mark.parametrize("index", range(2))
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_tie_parameter_builds(self, sign, index):
+        # where a33 = a11 the two third-row equations coincide, yet the
+        # closed form gives an admissible scheme
+        a = _ties(sign)[index]
+        assert (3 * a - 2) / (6 * (a - 1)) == pytest.approx(_k(sign) * a, rel=1e-12)
+        _assert_sweep_checks(build_wso3_p3_s3(a, sign), a)
 
 
 class TestGenericSearch:

@@ -17,7 +17,7 @@ from rkwso.catalog import catalog_names, catalog_scheme
 from rkwso.report import analyze, report_dict
 from rkwso.tableau import make_tableau
 
-GOLDEN_SHA256 = "2ccc26d0d44ac78263b30f8f3ccc5151baf96d5862ea207f10dc8624a2363fab"
+GOLDEN_SHA256 = "c4dd39f11dd9509bdf31aa849521ad065c1246aa8151021c2a22286bb94db10c"
 
 
 def golden_schemes():
