@@ -1,8 +1,9 @@
 """Small dense linear algebra over exact rationals or binary64.
 
 Matrices are sequences of row sequences, vectors are flat sequences.  The
-exact path runs fraction Gaussian elimination, except the `Eliminator`,
-which works fraction-free on integer vectors; the float path defers to
+exact path runs in integer arithmetic: solves and span tests through the
+fraction-free `Eliminator`, determinants through the integer
+Faddeev-LeVerrier recurrence of `char_coeffs`.  The float path defers to
 numpy.  Everything here is sized for Runge-Kutta stage counts (s <= ~8), so
 clarity beats asymptotics.
 """
@@ -80,63 +81,49 @@ def max_abs(rows):
     return m
 
 
-def det(A, exact):
+def char_coeffs(A):
+    """(d, C) with d the least common denominator of the rational matrix A
+    and C the integer coefficients, constant term first, of the
+    characteristic polynomial det(xI - dA).
+
+    Faddeev-LeVerrier on the integer matrix dA: exact traces, exact
+    divisions by k, no pivoting.
+    """
     n = len(A)
-    if n == 0:
-        return one(exact)
+    d, dA = integer_matrix(A)
+    C = [0] * n + [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        M = matmul(dA, M)
+        c = -sum(M[i][i] for i in range(n)) // k
+        C[n - k] = c
+        for i in range(n):
+            M[i][i] += c
+    return d, C
+
+
+def det(A, exact):
+    """det A; exact mode reads it off the characteristic polynomial,
+    det A = (-1)^n chi_A(0)."""
     if not exact:
         return float(np.linalg.det(np.array(A, dtype=float)))
-    M = [list(row) for row in A]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            d = -d
-        d *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] == 0:
-                continue
-            f = M[r][col] * inv
-            M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return d
+    n = len(A)
+    d, C = char_coeffs(A)
+    return Fraction((-1) ** n * C[0], d ** n)
 
 
 def solve(A, rhs, exact):
     """Solve A x = rhs; raises SingularMatrixError when A is singular."""
-    n = len(A)
-    if not exact:
-        M = np.array(A, dtype=complex if _is_complex(A, rhs) else float)
-        b = np.array(rhs, dtype=M.dtype)
-        if n and abs(np.linalg.det(M)) == 0.0:
-            raise SingularMatrixError("singular float system")
-        try:
-            x = np.linalg.solve(M, b)
-        except np.linalg.LinAlgError as err:
-            raise SingularMatrixError(str(err)) from None
-        return list(x)
-    M = [list(row) + [r] for row, r in zip(A, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
+    if exact:
+        x, independent = _tagged_solve(transpose(A), rhs)
+        if not independent:
             raise SingularMatrixError("singular exact system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
-def _is_complex(A, rhs):
-    return any(isinstance(x, complex) for row in A for x in row) or any(
-        isinstance(x, complex) for x in rhs
-    )
+        return x
+    try:
+        x = np.linalg.solve(np.array(A, dtype=float), np.array(rhs, dtype=float))
+    except np.linalg.LinAlgError as err:
+        raise SingularMatrixError(str(err)) from None
+    return list(x)
 
 
 class Eliminator:
@@ -206,49 +193,43 @@ class Eliminator:
         return True
 
 
+def _tagged_solve(columns, target):
+    """(x, independent): exact x with sum_j x_j columns[j] = target, or None
+    when target is outside the span, and whether the columns are linearly
+    independent.
+
+    Each column gets a unit tag, [col_j | e_j | 0], and [target | 0 | -1] is
+    reduced against them.  The residual is a multiple of
+    [target - sum_j x_j col_j | -x | -1]; its data part vanishes exactly
+    when target lies in the span, and then x_j = w[m + j] / w[-1].  A column
+    whose data part reduces to zero keeps its pivot in the tags.
+    """
+    m, n = len(target), len(columns)
+    elim = Eliminator(True)
+    for j, col in enumerate(columns):
+        elim.add([*col, *(int(i == j) for i in range(n)), 0])
+    independent = all(piv < m for piv, _ in elim._reduced)
+    w = elim.residual([*target, *[0] * n, -1])
+    if any(w[:m]):
+        return None, independent
+    return [Fraction(x, w[-1]) for x in w[m:-1]], independent
+
+
 def solve_in_span(columns, target, exact, tol=DEFAULT_TOL):
     """Coefficients x with sum_j x_j columns[j] = target, or None.
 
     Exact mode solves consistently or returns None; float mode accepts a
     least-squares fit whose residual is below the rank tolerance.
     """
+    if exact:
+        return _tagged_solve(columns, target)[0]
+    t = np.array(target, dtype=float)
     if not columns:
-        if exact:
-            return [] if all(x == 0 for x in target) else None
-        n = float(np.linalg.norm(np.array(target, dtype=float)))
-        return [] if n <= tol.rank else None
-    n_rows = len(target)
-    if not exact:
-        M = np.array(columns, dtype=float).T
-        t = np.array(target, dtype=float)
-        x, *_ = np.linalg.lstsq(M, t, rcond=None)
-        resid = float(np.linalg.norm(M @ x - t))
-        scale = max(1.0, float(np.linalg.norm(t)))
-        if resid > tol.rank * scale:
-            return None
-        return list(x)
-    # exact: eliminate [columns | target]
-    ncols = len(columns)
-    M = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(n_rows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, n_rows) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [x * inv for x in M[row]]
-        for r in range(n_rows):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n_rows):
-        if M[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in pivots:
-        x[col] = M[r][ncols]
-    return x
+        return [] if float(np.linalg.norm(t)) <= tol.rank else None
+    M = np.array(columns, dtype=float).T
+    x, *_ = np.linalg.lstsq(M, t, rcond=None)
+    resid = float(np.linalg.norm(M @ x - t))
+    scale = max(1.0, float(np.linalg.norm(t)))
+    if resid > tol.rank * scale:
+        return None
+    return list(x)

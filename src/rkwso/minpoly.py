@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import eye, integer_matrix, matmul, matvec, solve_in_span, transpose
+from .linalg import char_coeffs, eye, matmul, matvec, solve_in_span, transpose
 from .orders import SchemeContext
 from .poly import Polynomial, lagrange_interpolate
 from .scalars import DEFAULT_TOL
@@ -30,19 +30,8 @@ def char_poly(A, exact, tol=DEFAULT_TOL):
     if n == 0:
         return Polynomial.one(exact)
     if exact:
-        # Faddeev-LeVerrier on the integer matrix dA, d the least common
-        # denominator: exact traces, exact divisions by k, no pivoting.
-        # chi_A(x) = d^-n chi_dA(d x), so coefficient i is C_i / d^(n-i).
-        d, dA = integer_matrix(A)
-        C = [0] * (n + 1)
-        C[n] = 1
-        M = [[int(i == j) for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            M = matmul(dA, M)
-            c = -sum(M[i][i] for i in range(n)) // k
-            C[n - k] = c
-            for i in range(n):
-                M[i][i] += c
+        # chi_A(x) = d^-n chi_dA(d x), so coefficient i is C_i / d^(n-i)
+        d, C = char_coeffs(A)
         return Polynomial([Fraction(c, d ** (n - i)) for i, c in enumerate(C)], True)
     # float: interpolate det(xI - A) at n+1 integer nodes
     nodes = [float(k) for k in range(n + 1)]

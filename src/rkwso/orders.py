@@ -113,17 +113,25 @@ def stage_order(t, tol=DEFAULT_TOL):
 
 
 def classical_order(t, pmax=6, tol=DEFAULT_TOL):
-    """Largest p <= pmax with all rooted-tree conditions of order <= p."""
+    """Largest p <= pmax with all rooted-tree conditions of order <= p.
+
+    A float condition is scaled by the elementary weight of |A| and |b|,
+    the sum of the magnitudes of the terms whose rounding it sees.
+    """
     if pmax > 6:
         raise ValueError("classical order checks are enumerated up to 6")
+    abs_A = [[abs(x) for x in row] for row in t.A]
+    abs_b = [abs(x) for x in t.b]
     p = 0
     for order in range(1, pmax + 1):
         for tree in trees_of_order(order):
             weight = elementary_weight(tree, t.A, t.b, t.ones)
-            target = (
-                Fraction(1, density(tree)) if t.exact else 1.0 / density(tree)
-            )
-            if not _is_zero_scalar(t, weight - target, abs(float(weight)) + 1.0, tol):
+            if t.exact:
+                ok = weight == Fraction(1, density(tree))
+            else:
+                scale = elementary_weight(tree, abs_A, abs_b, t.ones)
+                ok = _is_zero_scalar(t, weight - 1.0 / density(tree), scale, tol)
+            if not ok:
                 return p
         p = order
     return p

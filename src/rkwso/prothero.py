@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalars import DEFAULT_TOL
-
 
 class StageSolveError(RuntimeError):
     pass
@@ -88,24 +86,27 @@ def _afloat(t):
     return np.array([[float(x) for x in row] for row in t.A])
 
 
-def rk_step_with_stages(t, prob, t_n, u_n, dt, tol=DEFAULT_TOL):
-    """One RK step; returns (u_next, stage_values)."""
+def _prepare(t):
+    """(A, b, c, lower): the tableau as arrays, and whether A is lower
+    triangular; taken once per integration, not per step."""
     A = _afloat(t)
     b = np.array([float(x) for x in t.b])
     c = np.array([float(x) for x in t.c])
+    return A, b, c, not np.triu(A, 1).any()
+
+
+def _step(prepared, prob, t_n, u_n, dt):
+    A, b, c, lower = prepared
     lam = prob.lam
     is_complex = isinstance(lam, complex)
     dtype = complex if is_complex or isinstance(u_n, complex) else float
-    s = t.s
+    s = len(b)
     ts = t_n + c * dt
     phis = prob.phi(ts).astype(dtype)
     dphis = prob.dphi(ts).astype(dtype)
     forcing = dphis - lam * phis
     rhs = u_n * np.ones(s, dtype=dtype) + dt * (A @ forcing)
     z = dt * lam
-    lower = all(
-        abs(A[i, j]) == 0.0 for i in range(s) for j in range(i + 1, s)
-    )
     g = np.empty(s, dtype=dtype)
     if lower:
         # sequential scalar stage solves
@@ -129,8 +130,13 @@ def rk_step_with_stages(t, prob, t_n, u_n, dt, tol=DEFAULT_TOL):
     return u_n + dt * update, g
 
 
-def rk_step(t, prob, t_n, u_n, dt, tol=DEFAULT_TOL):
-    return rk_step_with_stages(t, prob, t_n, u_n, dt, tol)[0]
+def rk_step_with_stages(t, prob, t_n, u_n, dt):
+    """One RK step; returns (u_next, stage_values)."""
+    return _step(_prepare(t), prob, t_n, u_n, dt)
+
+
+def rk_step(t, prob, t_n, u_n, dt):
+    return rk_step_with_stages(t, prob, t_n, u_n, dt)[0]
 
 
 def integrate(t, prob, T, dt):
@@ -140,10 +146,9 @@ def integrate(t, prob, T, dt):
     u = complex(prob.phi(np.array([0.0]))[0])
     if not isinstance(prob.lam, complex):
         u = u.real
-    time = 0.0
+    prepared = _prepare(t)
     for k in range(n):
-        u = rk_step(t, prob, k * dt, u, dt)
-        time += dt
+        u = _step(prepared, prob, k * dt, u, dt)[0]
     return u
 
 
@@ -230,7 +235,7 @@ def estimate_order(t, phi_spec, regime, dts=DEFAULT_DTS, T=1.0, z=-10.0,
     )
 
 
-def local_error_probe(t, prob, t_n, dt, K, tol=DEFAULT_TOL):
+def local_error_probe(t, prob, t_n, dt, K):
     """One-step error from an exact start vs. the truncated residual series.
 
     measured = u_1 - phi(t_n + dt) starting from u_n = phi(t_n);

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 from rkwso.linalg import matvec, transpose
 from rkwso.orders import tau
@@ -35,6 +36,20 @@ def random_rational_dirk(rng, smax=5, normalize_b=True):
 def random_suite(count, smax=5, seed=RANDOM_SEED):
     rng = random.Random(seed)
     return [random_rational_dirk(rng, smax) for _ in range(count)]
+
+
+def random_dense(rng, s):
+    """Fully implicit tableau with entries p/q, q in {1..7}; b sums to 1."""
+    A = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(s)] for _ in range(s)]
+    while True:
+        b = [F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(s)]
+        if sum(b) != 0:
+            break
+    total = sum(b)
+    return make_tableau(A, [x / total for x in b], name=f"dense-s{s}", exact=True)
+
+
+DENSE = [random_dense(random.Random(s), s) for s in (6, 7, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +96,15 @@ def brute_force_s_reducible(t):
     )
 
 
-def brute_force_rank(vectors):
-    """Rank by row reduction over Fractions (independent implementation)."""
-    rows = [list(v) for v in vectors]
-    rank = 0
+def _row_reduce(rows):
+    """Reduced row echelon form over Fractions, in place; returns the pivot
+    columns (independent implementation)."""
+    pivots = []
     ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+    for col in range(ncols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         lead = rows[rank][col]
@@ -99,9 +113,32 @@ def brute_force_rank(vectors):
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
+def brute_force_rank(vectors):
+    """Rank by row reduction over Fractions (independent implementation)."""
+    return len(_row_reduce([list(v) for v in vectors]))
+
+
+def brute_force_det(A):
+    """The Leibniz permutation sum, grouped row by row into cofactor
+    (Laplace) expansions whose minors are memoized by their column set."""
+    n = len(A)
+
+    @lru_cache(maxsize=None)
+    def minor(cols):  # rows n - len(cols) .. n - 1, the given columns
+        row = n - len(cols)
+        total = F(1) if not cols else F(0)
+        for k, j in enumerate(cols):
+            if A[row][j] != 0:
+                total += (-1) ** k * A[row][j] * minor(cols[:k] + cols[k + 1 :])
+        return total
+
+    return minor(tuple(range(n)))
 
 
 def brute_force_K_generators(t, m):
@@ -126,9 +163,7 @@ def brute_force_Y_generators(t):
 
 def brute_force_min_poly_degree(A, basis_vectors):
     """Smallest d with a monic combination of {B, AB, ..., A^d B} hitting 0,
-    found by exhaustive linear solves over stacked images."""
-    from rkwso.linalg import solve_in_span
-
+    found by row reducing the stacked images [B | AB | ... | A^d B]."""
     images = [[list(v) for v in basis_vectors]]
     for _ in range(len(A)):
         images.append([matvec(A, v) for v in images[-1]])
@@ -137,9 +172,14 @@ def brute_force_min_poly_degree(A, basis_vectors):
         return [x for v in images[level] for x in v]
 
     for d in range(0, len(A) + 1):
-        cols = [stack(i) for i in range(d)]
-        target = [-x for x in stack(d)]
-        coeffs = solve_in_span(cols, target, True)
-        if coeffs is not None:
-            return d, list(coeffs) + [F(1)]
+        # augmented system sum_i x_i stack(i) = -stack(d), one row per entry
+        cols = [stack(i) for i in range(d)] + [[-x for x in stack(d)]]
+        rows = [list(r) for r in zip(*cols)]
+        pivots = _row_reduce(rows)
+        if d in pivots:
+            continue  # the right-hand side is a pivot: inconsistent
+        coeffs = [F(0)] * d
+        for r, col in enumerate(pivots):
+            coeffs[col] = rows[r][d]
+        return d, coeffs + [F(1)]
     raise AssertionError("no annihilator found up to dimension")

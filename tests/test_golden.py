@@ -5,19 +5,23 @@ of each scheme's report; comparing that listing with the parent commit's finds
 the reports that changed.
 
 The set: every catalog scheme, `random_suite(60, smax=5)`, and the binary64
-twins of those random tableaux whose weights all lie in [-3, 3].
+twins of those random tableaux whose weights all lie in [-3, 3].  A second
+digest covers exact s = 6..8 tableaux, where the exact kernel works
+hardest: the fully implicit `DENSE` set and the s >= 6 draws of
+`random_suite(24, smax=8)`.
 """
 
 import hashlib
 import json
 
-from helpers import random_suite
+from helpers import DENSE, random_suite
 
 from rkwso.catalog import catalog_names, catalog_scheme
 from rkwso.report import analyze, report_dict
 from rkwso.tableau import make_tableau
 
 GOLDEN_SHA256 = "c4dd39f11dd9509bdf31aa849521ad065c1246aa8151021c2a22286bb94db10c"
+GOLDEN_DENSE_SHA256 = "e0e18df078f3cd5d16651c917e479936027687e3dbcd7f2906f0883399299996"
 
 
 def golden_schemes():
@@ -35,6 +39,10 @@ def golden_schemes():
     return [catalog_scheme(n) for n in catalog_names()] + suite + twins
 
 
+def dense_schemes():
+    return DENSE + [t for t in random_suite(24, smax=8) if t.s >= 6]
+
+
 def report_lines(schemes):
     return [json.dumps(report_dict(analyze(t))) for t in schemes]
 
@@ -47,10 +55,15 @@ def test_report_bytes_match_golden_digest():
     assert digest(report_lines(golden_schemes())) == GOLDEN_SHA256
 
 
+def test_dense_report_bytes_match_golden_digest():
+    assert digest(report_lines(dense_schemes())) == GOLDEN_DENSE_SHA256
+
+
 if __name__ == "__main__":
-    # prints the digest, then one line per scheme: its index, name and the
+    # prints each digest, then one line per scheme: its index, name and the
     # sha256 of its report, for locating a report that changed
-    lines = report_lines(golden_schemes())
-    print(digest(lines))
-    for i, (t, line) in enumerate(zip(golden_schemes(), lines)):
-        print(i, t.name, hashlib.sha256(line.encode()).hexdigest())
+    for schemes in (golden_schemes(), dense_schemes()):
+        lines = report_lines(schemes)
+        print(digest(lines))
+        for i, (t, line) in enumerate(zip(schemes, lines)):
+            print(i, t.name, hashlib.sha256(line.encode()).hexdigest())

@@ -1,6 +1,7 @@
 """The exact kernel: fraction-free Krylov spaces, their prefix dimensions,
-and pencil determinants from reversed characteristic polynomials, each
-checked against an independent Fraction computation."""
+pencil determinants from reversed characteristic polynomials, and the
+exact determinant, solve and span test, each checked against an independent
+Fraction computation."""
 
 import random
 from fractions import Fraction as F
@@ -8,13 +9,15 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    DENSE,
+    brute_force_det,
     brute_force_K_generators,
     brute_force_rank,
     random_suite,
 )
 
 from rkwso.catalog import catalog_all
-from rkwso.linalg import Eliminator, det
+from rkwso.linalg import Eliminator, SingularMatrixError, det, solve, solve_in_span
 from rkwso.minpoly import char_poly
 from rkwso.orders import saturation_index, space_K
 from rkwso.poly import lagrange_interpolate
@@ -31,19 +34,7 @@ def float_twin(t):
     )
 
 
-def random_dense(rng, s):
-    """Fully implicit tableau with entries p/q, q in {1..7}; b sums to 1."""
-    A = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(s)] for _ in range(s)]
-    while True:
-        b = [F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(s)]
-        if sum(b) != 0:
-            break
-    total = sum(b)
-    return make_tableau(A, [x / total for x in b], name=f"dense-s{s}", exact=True)
-
-
 SUITE = random_suite(30, smax=5)
-DENSE = [random_dense(random.Random(s), s) for s in (6, 7, 8)]
 
 
 def _pairs():
@@ -77,7 +68,7 @@ class TestPencilDeterminants:
     def test_reversed_char_poly_matches_interpolation(self, t):
         nodes = [F(k) for k in range(t.s + 1)]
         for with_ebt in (False, True):
-            values = [det(_pencil_matrix(t, z, with_ebt), True) for z in nodes]
+            values = [brute_force_det(_pencil_matrix(t, z, with_ebt)) for z in nodes]
             expected = lagrange_interpolate(nodes, values, True)
             assert _det_poly(t, with_ebt, t.s) == expected
 
@@ -94,7 +85,7 @@ class TestPencilDeterminants:
                 [(x if i == j else 0) - a for j, a in enumerate(row)]
                 for i, row in enumerate(A)
             ]
-            assert chi.evaluate(x) == det(shifted, True)
+            assert chi.evaluate(x) == brute_force_det(shifted)
 
 
 class TestExactEliminator:
@@ -125,3 +116,60 @@ class TestExactEliminator:
             for w in (vec(n), combo, [F(0)] * n):
                 in_span = brute_force_rank(basis + [w]) == brute_force_rank(basis)
                 assert elim.contains(w) is in_span, (trial, basis, w)
+
+
+def _rational(rng, lo=-4, hi=4, den=6):
+    return F(rng.randint(lo, hi), rng.randint(1, den))
+
+
+class TestExactSolves:
+    @pytest.mark.parametrize("n", range(7))
+    def test_det_matches_leibniz_expansion(self, n):
+        rng = random.Random(100 + n)
+        for trial in range(4):
+            A = [[_rational(rng) for _ in range(n)] for _ in range(n)]
+            assert det(A, True) == brute_force_det(A), (n, trial)
+            if n >= 2:
+                A[-1] = list(A[0])  # a repeated row
+                assert det(A, True) == 0
+
+    def test_span_solve_with_dependent_columns(self):
+        rng = random.Random(11)
+        for trial in range(40):
+            m = rng.randint(1, 6)
+            free = [[_rational(rng) for _ in range(m)] for _ in range(rng.randint(1, m))]
+            # append combinations of the free columns, so the set is dependent
+            cols = free + [
+                [sum(rng.randint(-2, 2) * v[i] for v in free) for i in range(m)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            rng.shuffle(cols)
+            weights = [_rational(rng) for _ in cols]
+            target = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)]
+            x = solve_in_span(cols, target, True)
+            assert x is not None and len(x) == len(cols)
+            assert [sum(xj * c[i] for xj, c in zip(x, cols)) for i in range(m)] == target
+
+    def test_span_solve_rejects_a_target_outside_the_span(self):
+        rng = random.Random(12)
+        for trial in range(40):
+            m = rng.randint(2, 6)
+            cols = [[_rational(rng) for _ in range(m)] for _ in range(rng.randint(0, m - 1))]
+            target = [_rational(rng) for _ in range(m)]
+            if brute_force_rank(cols + [target]) > brute_force_rank(cols):
+                assert solve_in_span(cols, target, True) is None, (trial, cols, target)
+
+    def test_solve_reproduces_the_right_hand_side(self):
+        rng = random.Random(13)
+        for n in range(1, 7):
+            A = [[_rational(rng) for _ in range(n)] for _ in range(n)]
+            if brute_force_det(A) == 0:
+                continue
+            rhs = [_rational(rng) for _ in range(n)]
+            x = solve(A, rhs, True)
+            assert [sum(a * xj for a, xj in zip(row, x)) for row in A] == rhs
+
+    def test_solve_rejects_a_singular_matrix_with_a_consistent_rhs(self):
+        # the dependent column's pivot falls in the tags, not the data
+        with pytest.raises(SingularMatrixError):
+            solve([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)], True)

@@ -89,6 +89,27 @@ class TestClassicalOrder:
     def test_gauss2_order_four(self):
         assert classical_order(catalog_scheme("gauss2")) == 4
 
+    def test_float_order_conditions_scale_with_their_terms(self):
+        # Kutta's explicit order-3 family at c2 = 1e-8, c3 = 1: b1 and b2
+        # are about -/+1.7e7, so sum(b) = 1 rounds by ~1e-9 while every
+        # condition holds exactly in the rational original
+        c2, c3 = F(1, 10**8), F(1)
+        a32 = c3 * (c3 - c2) / (c2 * (2 - 3 * c2))
+        b2 = (2 - 3 * c3) / (6 * c2 * (c2 - c3))
+        b3 = (2 - 3 * c2) / (6 * c3 * (c3 - c2))
+        A = [[0, 0, 0], [c2, 0, 0], [c3 - a32, a32, 0]]
+        b = [1 - b2 - b3, b2, b3]
+        exact = make_tableau(A, b, name="kutta3", exact=True)
+        assert classical_order(exact) == 3
+        twin = make_tableau(
+            [[float(x) for x in row] for row in A],
+            [float(x) for x in b],
+            name="kutta3",
+            exact=False,
+        )
+        assert classical_order(twin) == 3
+
+
 
 class TestWso:
     def test_backward_euler(self):
