@@ -19,6 +19,10 @@ The parameter a must avoid 0, 2/3 and 1, and the degenerate parameters of
 pass through infinity.  Within about 6e-4 of them the entries exceed 3e9,
 the float confirmation fails (see `build_wso3_p3_s3`), and
 DegenerateParameterError is raised as well.
+
+`generic_search` runs damped Newton on a residual over stacks of points, each
+row independent of the others: one call per iteration for the point and its
+finite-difference Jacobian, one for every step of its line search.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import numpy as np
 from .barriers import NAME_DIRK_WSO_ORDER_BUDGET, NAME_STAGE_ORDER_WSO_BUDGET
 from .orders import classical_order, wso
 from .scalars import DEFAULT_TOL
-from .tableau import make_tableau, s_reducibility
+from .stability import order_vs_exp, stability_function
+from .tableau import TableauError, make_tableau, s_reducibility
 
 SQRT2 = math.sqrt(2.0)
 
@@ -279,40 +284,40 @@ def build_wso3_p3_s3(a, sign="minus", tol=DEFAULT_TOL):
 def _damped_newton(fun, x0, maxit=100):
     """Damped Newton with halving line search and FD Jacobian.
 
-    The iteration keeps polishing while the residual still improves, so
-    converged roots sit at machine precision rather than just inside an
-    acceptance threshold.  Returns the best point and its max-norm residual;
-    the caller decides whether it is a root.
+    `fun` maps points (m, n) to residual rows (m, N), each row from its own
+    point alone.  An iteration makes two calls: on the current point and its
+    n forward-difference neighbours, then on the whole halving ladder
+    lam = 1, 1/2, ..., 2^-39, of which it takes the first rung that lowers
+    the max-norm residual.  It keeps polishing while the residual improves,
+    so roots sit at machine precision, not just inside an acceptance
+    threshold.  Returns the best point and its max-norm residual; the caller
+    decides whether it is a root.
     """
     x = np.array(x0, dtype=float)
     n = len(x)
+    diag = np.arange(n)
+    ladder = 0.5 ** np.arange(40)[:, None]
     best, best_norm = None, math.inf
     for _ in range(maxit):
-        F = fun(x)
-        norm = float(np.max(np.abs(F)))
+        h = 1e-7 * max(1.0, float(np.max(np.abs(x))))
+        X = np.repeat(x[None], n + 1, axis=0)
+        X[diag + 1, diag] += h
+        F = fun(X)
+        norm = float(np.max(np.abs(F[0])))
         if norm < best_norm:
             best, best_norm = x.copy(), norm
         if norm == 0.0:
             break
-        J = np.empty((len(F), n))
-        h = 1e-7 * max(1.0, float(np.max(np.abs(x))))
-        for k in range(n):
-            xp = x.copy()
-            xp[k] += h
-            J[:, k] = (fun(xp) - F) / h
+        J = ((F[1:] - F[0]) / h).T
         try:
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+            step, *_ = np.linalg.lstsq(J, -F[0], rcond=None)
         except np.linalg.LinAlgError:
             break
-        lam = 1.0
-        while lam > 1e-12:
-            xn = x + lam * step
-            if float(np.max(np.abs(fun(xn)))) < norm:
-                break
-            lam *= 0.5
-        else:
+        trial = x + ladder * step
+        lower = np.max(np.abs(fun(trial)), axis=1) < norm
+        if not lower.any():
             break
-        x = x + lam * step
+        x = trial[np.argmax(lower)]
     return best, best_norm
 
 
@@ -342,102 +347,97 @@ def feasibility_barriers(s, p, q):
     return True, "targets pass the order barriers"
 
 
+def _search_system(s, p, q, diagonal_seed=()):
+    """(n, unpack, residual) of `generic_search` for targets (s, p, q).
+
+    The n unknowns are the strictly lower entries of A by rows, the unseeded
+    diagonal entries, then b.  `unpack` maps points (m, n) to A (m, s, s) and
+    b (m, s), `residual` to rows (m, N).  Every product is an np.matmul, one
+    BLAS gemv or dot per point, so a row is bit for bit the same in any stack.
+    """
+    rows, cols = np.tril_indices(s, -1)
+    seeded, free = np.arange(len(diagonal_seed)), np.arange(len(diagonal_seed), s)
+    n = len(rows) + len(free) + s
+
+    def unpack(X):
+        A = np.zeros((len(X), s, s))
+        A[:, rows, cols] = X[:, : len(rows)]
+        A[:, seeded, seeded] = diagonal_seed
+        A[:, free, free] = X[:, len(rows) : n - s]
+        return A, X[:, n - s :]
+
+    def mv(M, v):
+        # M v per point; with M = u[:, None, :] it is the dot product u . v
+        return np.matmul(M, v[:, :, None])[:, :, 0]
+
+    def residual(X):
+        A, b = unpack(X)
+        c = A.sum(axis=2)
+        taus = [mv(A, c ** (k - 1)) - (c ** k) / k for k in range(2, q + 1)]
+        res = []
+        # P(A) tau^(k) with the roots of P on the leading diagonal
+        for v in taus:
+            for i in range(q // 2):
+                v = mv(A, v) - A[:, i, i, None] * v
+            res.append(v)
+        fact, Aje = 1.0, np.ones((len(X), s))
+        for j in range(p):
+            fact *= j + 1
+            res.append(mv(b[:, None, :], Aje) - 1.0 / fact)
+            Aje = mv(A, Aje)
+        row, AT = b, A.transpose(0, 2, 1)
+        for _ in range(s):
+            res.extend(mv(row[:, None, :], t) for t in taus)
+            row = mv(AT, row)
+        return np.hstack(res)
+
+    return n, unpack, residual
+
+
 def generic_search(spec, tol=DEFAULT_TOL, n_starts=40, rng_seed=20240901):
     """Best-effort DIRK search for targets (s, p, q).
 
     Fixes P(x) = (x - a_11)...(x - a_rr) with r = floor(q/2), then solves
     P(A) tau^(k) = 0 (k <= q), the tall-tree conditions b^T A^j e = 1/(j+1)!
     (j < p), and the WSO orthogonality conditions by multi-start damped
-    least-squares Newton over the free entries.  A tableau is returned only
-    when the analyzer confirms (s, p, q); absence is a valid result.
+    least-squares Newton over the free entries.  The residual is evaluated
+    on stacks of points (`_search_system`), two calls per Newton iteration.
+    A tableau is returned only when the analyzer confirms (s, p, q); absence
+    is a valid result.
     """
     s, p, q = spec.targets
     ok, diag = feasibility_barriers(s, p, q)
     if not ok:
         return SearchOutcome(None, False, diag)
-    r = q // 2
-    seed_diag = list(spec.diagonal_seed)
-    n_lower = s * (s - 1) // 2
-    free_diag = list(range(len(seed_diag), s))
-    n_free = n_lower + len(free_diag) + s
-
-    def unpack(x):
-        A = np.zeros((s, s))
-        idx = 0
-        for i in range(1, s):
-            for j in range(i):
-                A[i, j] = x[idx]
-                idx += 1
-        for i, d in enumerate(seed_diag):
-            A[i, i] = d
-        for i in free_diag:
-            A[i, i] = x[idx]
-            idx += 1
-        b = x[idx : idx + s]
-        return A, b
-
-    def residual(x):
-        A, b = unpack(x)
-        c = A.sum(axis=1)
-        taus = {}
-        for k in range(2, q + 1):
-            taus[k] = A @ (c ** (k - 1)) - (c ** k) / k
-        P_roots = [A[i, i] for i in range(r)]
-        res = []
-        for k in range(2, q + 1):
-            v = taus[k].copy()
-            for root in P_roots:
-                v = A @ v - root * v
-            res.extend(v)
-        fact = 1.0
-        Aje = np.ones(s)
-        for j in range(p):
-            fact *= j + 1
-            res.append(float(b @ Aje) - 1.0 / fact)
-            Aje = A @ Aje
-        row = b.copy()
-        for _ in range(s):
-            for k in range(2, q + 1):
-                res.append(float(row @ taus[k]))
-            row = A.T @ row
-        return np.array(res)
-
+    n_free, unpack, residual = _search_system(s, p, q, spec.diagonal_seed)
     rng = np.random.default_rng(rng_seed)
     starts = rng.uniform(-2.0, 2.0, size=(n_starts, n_free))
     for start in starts:
         sol, norm = _damped_newton(residual, start, maxit=200)
         if norm >= 1e-12:
             continue
-        A, b = unpack(sol)
+        A, b = unpack(sol[None])
+        meta = (("family", "generic"), ("targets", f"({s},{p},{q})"))
         try:
             t = make_tableau(
-                [list(row) for row in A],
-                list(b),
+                [list(row) for row in A[0]],
+                list(b[0]),
                 name=f"generic-s{s}-p{p}-q{q}",
                 source="generic DIRK search",
                 exact=False,
-                metadata=(
-                    ("family", "generic"),
-                    ("targets", f"({s},{p},{q})"),
-                ),
+                metadata=meta,
             )
-        except Exception:
+        except TableauError:
             continue
         if _confirm_targets(t, s, p, q, tol):
             return SearchOutcome(t, True, "targets confirmed by the analyzer")
-    return SearchOutcome(
-        None, True, "no converged start confirmed the targets"
-    )
+    return SearchOutcome(None, True, "no converged start confirmed the targets")
 
 
 def _confirm_targets(t, s, p, q, tol):
     # classical (non-tall-tree) conditions are diagnostics, not imposed:
     # confirmation is WSO plus the order of R(z) against exp(z)
-    from .stability import order_vs_exp, stability_function
-
-    if t.s != s:
-        return False
-    if wso(t, tol=tol) != q:
+    if t.s != s or wso(t, tol=tol) != q:
         return False
     try:
         p_lin = order_vs_exp(stability_function(t, tol), tol=tol)

@@ -10,6 +10,8 @@ from rkwso.construct import (
     ConstructionError,
     ConstructionSpec,
     DegenerateParameterError,
+    _damped_newton,
+    _search_system,
     build_wso3_p2_s2,
     build_wso3_p3_s3,
     degenerate_parameters,
@@ -302,3 +304,92 @@ def test_generic_search_honors_diagonal_seed():
     t = outcome.tableau
     assert float(t.a(0, 0)) == pytest.approx(a11, abs=0.0)  # fixed, not solved
     assert wso(t) == 3
+
+
+# targets of the search residual checks: the bench's feasible targets, the
+# two-stage family with and without a seeded diagonal, and two s = 4 targets
+RESIDUAL_TARGETS = [
+    ((3, 3, 3), ()),
+    ((3, 2, 3), ()),
+    ((2, 2, 3), ()),
+    ((2, 2, 3), (1 - SQRT2 / 2,)),
+    ((4, 3, 4), ()),
+    ((4, 3, 3), ()),
+]
+
+
+def _loop_residual(targets, diagonal_seed, x):
+    """The search residual of one point as a plain loop, with `@` (BLAS gemv
+    and ddot) for every product: the reference for the stacked residual."""
+    s, p, q = targets
+    A = np.zeros((s, s))
+    idx = 0
+    for i in range(1, s):
+        for j in range(i):
+            A[i, j] = x[idx]
+            idx += 1
+    for i, d in enumerate(diagonal_seed):
+        A[i, i] = d
+    for i in range(len(diagonal_seed), s):
+        A[i, i] = x[idx]
+        idx += 1
+    b = x[idx : idx + s]
+    c = A.sum(axis=1)
+    taus = [A @ (c ** (k - 1)) - (c ** k) / k for k in range(2, q + 1)]
+    res = []
+    for v in taus:
+        for i in range(q // 2):
+            v = A @ v - A[i, i] * v
+        res.extend(v)
+    fact, Aje = 1.0, np.ones(s)
+    for j in range(p):
+        fact *= j + 1
+        res.append(float(b @ Aje) - 1.0 / fact)
+        Aje = A @ Aje
+    row = b.copy()
+    for _ in range(s):
+        res.extend(float(row @ t) for t in taus)
+        row = A.T @ row
+    return np.array(res)
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("targets,seed", RESIDUAL_TARGETS)
+    def test_rows_do_not_depend_on_the_stack(self, targets, seed):
+        n, _, residual = _search_system(*targets, seed)
+        X = np.random.default_rng(11).uniform(-2.0, 2.0, size=(60, n))
+        stacked = residual(X)
+        for i in range(len(X)):
+            assert np.array_equal(stacked[i], residual(X[i : i + 1])[0]), i
+            assert np.array_equal(stacked[i], _loop_residual(targets, seed, X[i])), i
+
+    def test_unpack_places_the_unknowns(self):
+        _, unpack, _ = _search_system(3, 3, 3, (0.25,))
+        A, b = unpack(np.arange(1.0, 9.0)[None])
+        assert np.array_equal(A[0], [[0.25, 0, 0], [1, 4, 0], [2, 3, 5]])
+        assert np.array_equal(b[0], [6, 7, 8])
+
+    def test_newton_finds_a_known_root(self):
+        # x0^2 = 2 and x0 x1 = 3, one row per point
+        def fun(X):
+            return np.stack([X[:, 0] ** 2 - 2.0, X[:, 0] * X[:, 1] - 3.0], axis=1)
+
+        best, norm = _damped_newton(fun, [1.0, 1.0])
+        assert best == pytest.approx([SQRT2, 3.0 / SQRT2], abs=1e-14)
+        assert norm == np.max(np.abs(fun(best[None])[0])) <= 1e-15
+
+    def test_newton_returns_the_best_point_and_two_calls_per_iteration(self):
+        # x^2 + 1 has no real root; the first step lands next to its minimum
+        # x = 0, from which no rung of the ladder lowers the residual
+        calls = []
+
+        def fun(X):
+            calls.append(len(X))
+            return X ** 2 + 1.0
+
+        best, norm = _damped_newton(fun, [1.0])
+        # the point and its neighbour, then the 40 rungs, in each of the two
+        # iterations
+        assert calls == [2, 40, 2, 40]
+        assert abs(best[0]) < 1e-7
+        assert norm == fun(best[None])[0, 0] < 1.0 + 1e-14
