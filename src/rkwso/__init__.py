@@ -9,10 +9,8 @@ from .construct import (
 )
 from .orders import (
     classical_order,
-    residuals,
     space_K,
     space_Y,
-    stage_order,
     tau,
     verify_wso_orthogonality,
     wso,
@@ -24,8 +22,6 @@ from .prothero import estimate_order, local_error_probe, pr_problem, rk_step
 from .report import analyze, report_dict
 from .scalars import DEFAULT_TOL, Tolerances
 from .stability import (
-    check_alpha_vanishing_for,
-    expand_Q_in_basis,
     functional_L,
     hankel_det,
     hankel_det_formula,
@@ -61,12 +57,10 @@ __all__ = [
     "catalog_names",
     "catalog_scheme",
     "char_poly",
-    "check_alpha_vanishing_for",
     "classical_order",
     "classify",
     "dj_reducibility",
     "estimate_order",
-    "expand_Q_in_basis",
     "factorization",
     "functional_L",
     "generic_search",
@@ -82,7 +76,6 @@ __all__ = [
     "poly_Q",
     "pr_problem",
     "report_dict",
-    "residuals",
     "rk_step",
     "s_reducibility",
     "serialize_tableau",
@@ -90,7 +83,6 @@ __all__ = [
     "space_Y",
     "stability_from_alpha",
     "stability_function",
-    "stage_order",
     "tau",
     "verify_wso_orthogonality",
     "w_k",

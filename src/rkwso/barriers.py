@@ -307,9 +307,7 @@ def _leading_block(t, r):
 
 def _block_invertible(t, r, tol):
     # diagonal of a lower-triangular block decides invertibility
-    if t.exact:
-        return all(t.a(i, i) != 0 for i in range(r))
-    return all(abs(float(t.a(i, i))) > tol.zero for i in range(r))
+    return not any(t.backend.is_zero(t.a(i, i), tol.zero) for i in range(r))
 
 
 def check_P_necessary_conditions(t, bi, report, tol=DEFAULT_TOL, ctx=None):
@@ -333,7 +331,7 @@ def check_P_necessary_conditions(t, bi, report, tol=DEFAULT_TOL, ctx=None):
         for r in range(1, r_cap + 1):
             if reps[:r] != list(t.c[:r]):
                 break  # abscissa prefix no longer distinct; later r excluded
-            p_r = min_poly_matrix(_leading_block(t, r), t.exact, tol)
+            p_r = min_poly_matrix(_leading_block(t, r), t.backend, tol)
             ok = ok and p_r.divides(P, tol)
             checked += 1
         if checked == 0:
@@ -356,19 +354,19 @@ def check_P_necessary_conditions(t, bi, report, tol=DEFAULT_TOL, ctx=None):
         clauses_ok = True
         notes = []
         if q > 1:
-            ok = P.degree >= 1 and _is_root(P, t.a(0, 0), t.exact, tol)
+            ok = P.degree >= 1 and _is_root(P, t.a(0, 0))
             clauses_ok = clauses_ok and ok
             notes.append(f"a11 root: {ok}")
         if q > 3 and t.s >= 2:
             ok = (
                 P.degree >= 2
-                and _is_root(P, t.a(0, 0), t.exact, tol)
-                and _is_root(P, t.a(1, 1), t.exact, tol)
+                and _is_root(P, t.a(0, 0))
+                and _is_root(P, t.a(1, 1))
             )
             clauses_ok = clauses_ok and ok
             notes.append(f"a11,a22 roots: {ok}")
         if q > 5 and t.s >= 3:
-            p3 = min_poly_matrix(_leading_block(t, 3), t.exact, tol)
+            p3 = min_poly_matrix(_leading_block(t, 3), t.backend, tol)
             ok = p3.divides(P, tol)
             clauses_ok = clauses_ok and ok
             notes.append(f"p3 divides P: {ok}")
@@ -380,24 +378,19 @@ def check_P_necessary_conditions(t, bi, report, tol=DEFAULT_TOL, ctx=None):
     if not cls.is_dirk:
         report.skip(NAME_Q_LAST_DIAG, "not diagonally implicit")
     else:
-        b_last = t.b[t.s - 1]
-        nonzero = b_last != 0 if t.exact else abs(float(b_last)) > tol.zero
-        if not nonzero:
+        if t.backend.is_zero(t.b[t.s - 1], tol.zero):
             report.skip(NAME_Q_LAST_DIAG, "last weight vanishes (DJ-reducible)")
         else:
             report.add_bool(
                 NAME_Q_LAST_DIAG,
-                _is_root(Q, t.a(t.s - 1, t.s - 1), t.exact, tol),
+                _is_root(Q, t.a(t.s - 1, t.s - 1)),
                 "Q(a_ss) = 0",
             )
 
 
-def _is_root(poly, x, exact, tol):
-    val = poly.evaluate(x)
-    if exact:
-        return val == 0
-    scale = max(1.0, max(abs(float(c)) for c in poly.coeffs))
-    return abs(float(val)) <= 1e-8 * scale
+def _is_root(poly, x):
+    bk = poly.backend
+    return bk.is_zero(poly.evaluate(x), 1e-8, bk.size(poly.coeffs))
 
 
 def barrier_report(t, tol=DEFAULT_TOL, ctx=None):

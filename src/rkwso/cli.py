@@ -1,16 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 internal consistency failure,
-3 infeasible construction.
+Exit codes: 0 success, 1 input error, 2 internal consistency failure (or an
+argparse usage error), 3 infeasible construction.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .catalog import catalog_names, catalog_scheme
 from .construct import (
@@ -28,6 +31,9 @@ from .tableau import TableauError, parse_tableau, serialize_tableau
 
 def _tolerances(args):
     kwargs = {}
+    for flag, value in (("--tol-rank", args.tol_rank), ("--tol-zero", args.tol_zero)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
     if args.tol_rank is not None:
         kwargs["rank"] = args.tol_rank
     if args.tol_zero is not None:
@@ -56,18 +62,30 @@ def _emit(doc):
     print(json.dumps(doc, indent=2))
 
 
-def cmd_analyze(args):
+def _analysis(args):
+    """(tol, tableau, file bytes, analysis) for the file or scheme named."""
     tol = _tolerances(args)
+    if args.kcap is not None and args.kcap < 1:
+        raise ValueError(f"--kcap must be at least 1, got {args.kcap}")
     t, raw = _load(args.file, tol)
-    analysis = analyze(t, tol, pmax=args.pmax, kcap=args.kcap)
+    try:
+        with np.errstate(over="raise"):
+            analysis = analyze(t, tol, pmax=args.pmax, kcap=args.kcap)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"{args.file}: the float analysis leaves the binary64 range"
+        ) from None
+    return tol, t, raw, analysis
+
+
+def cmd_analyze(args):
+    tol, _, raw, analysis = _analysis(args)
     _emit(report_dict(analysis, tol, raw))
     return 0 if consistency_ok(analysis) else 2
 
 
 def cmd_barriers(args):
-    tol = _tolerances(args)
-    t, _ = _load(args.file, tol)
-    analysis = analyze(t, tol, pmax=args.pmax, kcap=args.kcap)
+    tol, t, _, analysis = _analysis(args)
     _emit(
         {
             "scheme": t.name or "(unnamed)",
@@ -86,9 +104,7 @@ def cmd_barriers(args):
 
 
 def cmd_stability(args):
-    tol = _tolerances(args)
-    t, _ = _load(args.file, tol)
-    analysis = analyze(t, tol, pmax=args.pmax, kcap=args.kcap)
+    tol, t, _, analysis = _analysis(args)
     doc = {
         "scheme": t.name or "(unnamed)",
         "stability": {
@@ -104,20 +120,37 @@ def cmd_stability(args):
     return 0 if ok in (True, None) else 2
 
 
+def _targets(text):
+    """--targets as three positive integers s,p,q."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != 3 or min(values) < 1:
+        raise ValueError(
+            f"--targets must be three positive integers s,p,q, got {text!r}"
+        )
+    return values
+
+
 def cmd_construct(args):
     tol = _tolerances(args)
     try:
         if args.family == "wso3-p2-s2":
             t = build_wso3_p2_s2(args.sign)
         elif args.family == "wso3-p3-s3":
-            t = build_wso3_p3_s3(args.a, args.sign, tol)
+            if not math.isfinite(args.a):
+                raise ValueError(f"--a must be finite, got {args.a!r}")
+            try:
+                t = build_wso3_p3_s3(args.a, args.sign, tol)
+            except OverflowError:
+                raise ValueError(
+                    f"--a {args.a!r} is too large: the construction overflows binary64"
+                ) from None
         elif args.family == "generic":
-            if not args.targets:
-                print("generic construction needs --targets s,p,q", file=sys.stderr)
-                return 1
-            s, p, q = (int(x) for x in args.targets.split(","))
+            targets = _targets(args.targets)
             seed = tuple(float(x) for x in args.diag.split(",")) if args.diag else ()
-            spec = ConstructionSpec(targets=(s, p, q), diagonal_seed=seed)
+            spec = ConstructionSpec(targets=targets, diagonal_seed=seed)
             outcome = generic_search(spec, tol, n_starts=args.seed_grid)
             if outcome.tableau is None:
                 print(outcome.diagnostic, file=sys.stderr)
@@ -139,6 +172,8 @@ def cmd_construct(args):
 
 def cmd_converge(args):
     tol = _tolerances(args)
+    if not args.T > 0:
+        raise ValueError(f"--T must be positive, got {args.T!r}")
     t, _ = _load(args.file, tol)
     dts = (
         tuple(float(x) for x in args.dts.split(","))

@@ -1,11 +1,12 @@
 """Small dense linear algebra over exact rationals or binary64.
 
-Matrices are sequences of row sequences, vectors are flat sequences.  The
-exact path runs in integer arithmetic: solves and span tests through the
-fraction-free `Eliminator`, determinants through the integer
-Faddeev-LeVerrier recurrence of `char_coeffs`.  The float path defers to
-numpy.  Everything here is sized for Runge-Kutta stage counts (s <= ~8), so
-clarity beats asymptotics.
+Matrices are sequences of row sequences, vectors are flat sequences.  Each
+entry point takes the scalar backend (`scalars.EXACT` or `scalars.FLOAT`)
+and picks its kernel from it.  The exact kernel runs in integer
+arithmetic: solves and span tests through the fraction-free `Eliminator`,
+determinants through the integer Faddeev-LeVerrier recurrence of
+`char_coeffs`.  The float kernel defers to numpy.  Everything here is sized
+for Runge-Kutta stage counts (s <= ~8), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -15,23 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, EXACT
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
-def zero(exact):
-    return Fraction(0) if exact else 0.0
-
-
-def one(exact):
-    return Fraction(1) if exact else 1.0
-
-
-def eye(n, exact):
-    o, z = one(exact), zero(exact)
+def eye(n, backend):
+    o, z = backend.one, backend.zero
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
@@ -73,14 +66,6 @@ def integer_matrix(A):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in A]
 
 
-def max_abs(rows):
-    m = 0.0
-    for row in rows:
-        for x in row:
-            m = max(m, abs(float(x)))
-    return m
-
-
 def char_coeffs(A):
     """(d, C) with d the least common denominator of the rational matrix A
     and C the integer coefficients, constant term first, of the
@@ -102,19 +87,19 @@ def char_coeffs(A):
     return d, C
 
 
-def det(A, exact):
+def det(A, backend):
     """det A; exact mode reads it off the characteristic polynomial,
     det A = (-1)^n chi_A(0)."""
-    if not exact:
+    if not backend.exact:
         return float(np.linalg.det(np.array(A, dtype=float)))
     n = len(A)
     d, C = char_coeffs(A)
     return Fraction((-1) ** n * C[0], d ** n)
 
 
-def solve(A, rhs, exact):
+def solve(A, rhs, backend):
     """Solve A x = rhs; raises SingularMatrixError when A is singular."""
-    if exact:
+    if backend.exact:
         x, independent = _tagged_solve(transpose(A), rhs)
         if not independent:
             raise SingularMatrixError("singular exact system")
@@ -136,8 +121,8 @@ class Eliminator:
     with a relative rank threshold.
     """
 
-    def __init__(self, exact, tol=DEFAULT_TOL):
-        self.exact = exact
+    def __init__(self, backend, tol=DEFAULT_TOL):
+        self.exact = backend.exact
         self.tol = tol
         self._reduced = []  # exact: (pivot_index, vector); float: unit vectors
 
@@ -205,7 +190,7 @@ def _tagged_solve(columns, target):
     whose data part reduces to zero keeps its pivot in the tags.
     """
     m, n = len(target), len(columns)
-    elim = Eliminator(True)
+    elim = Eliminator(EXACT)
     for j, col in enumerate(columns):
         elim.add([*col, *(int(i == j) for i in range(n)), 0])
     independent = all(piv < m for piv, _ in elim._reduced)
@@ -215,13 +200,13 @@ def _tagged_solve(columns, target):
     return [Fraction(x, w[-1]) for x in w[m:-1]], independent
 
 
-def solve_in_span(columns, target, exact, tol=DEFAULT_TOL):
+def solve_in_span(columns, target, backend, tol=DEFAULT_TOL):
     """Coefficients x with sum_j x_j columns[j] = target, or None.
 
     Exact mode solves consistently or returns None; float mode accepts a
     least-squares fit whose residual is below the rank tolerance.
     """
-    if exact:
+    if backend.exact:
         return _tagged_solve(columns, target)[0]
     t = np.array(target, dtype=float)
     if not columns:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .linalg import (
@@ -30,24 +29,12 @@ from .trees import density, elementary_weight, trees_of_order
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class ResidualSet:
-    kmax: int
-    residuals: tuple  # residuals[k-1] = tau^(k)
-
-
 def tau(t, k):
     """Stage order residual tau^(k) = A c^(k-1) - c^k / k."""
     ck1 = vec_pow(t.c, k - 1)
     ck = vec_pow(t.c, k)
-    inv_k = Fraction(1, k) if t.exact else 1.0 / k
+    inv_k = t.backend.one / k
     return [a - inv_k * b for a, b in zip(matvec(t.A, ck1), ck)]
-
-
-def residuals(t, kmax):
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    return ResidualSet(kmax, tuple(tuple(tau(t, k)) for k in range(1, kmax + 1)))
 
 
 def saturation_index(t, tol=DEFAULT_TOL):
@@ -59,35 +46,16 @@ def saturation_index(t, tol=DEFAULT_TOL):
     return 2 * n_c - (1 if has_zero_abscissa(t, tol) else 0)
 
 
-def _tau_scale(t, vectors):
-    return max([1.0] + [abs(float(x)) for v in vectors for x in v])
-
-
-def _is_zero_scalar(t, x, scale, tol):
-    if t.exact:
-        return x == 0
-    return abs(x) <= tol.zero * max(1.0, scale)
-
-
-def check_B(t, xi, tol=DEFAULT_TOL):
-    """Quadrature conditions b^T c^(k-1) = 1/k for k = 1..xi."""
-    return all(_b_single(t, k, tol) for k in range(1, xi + 1))
-
-
 def _b_single(t, k, tol):
-    target = Fraction(1, k) if t.exact else 1.0 / k
+    bk = t.backend
     val = vdot(t.b, vec_pow(t.c, k - 1))
-    return _is_zero_scalar(t, val - target, abs(float(val)) + 1.0, tol)
-
-
-def check_C(t, xi, tol=DEFAULT_TOL):
-    """Stage quadrature conditions tau^(k) = 0 for k = 1..xi."""
-    return all(_c_single(t, tau(t, k), tol) for k in range(1, xi + 1))
+    scale = bk.scale(lambda: abs(val) + 1.0)
+    return bk.is_zero(val - bk.one / k, tol.zero, scale)
 
 
 def _c_single(t, tk, tol):
-    scale = _tau_scale(t, [tk])
-    return all(_is_zero_scalar(t, x, scale, tol) for x in tk)
+    scale = t.backend.size(tk)
+    return all(t.backend.is_zero(x, tol.zero, scale) for x in tk)
 
 
 def stage_order_components(t, tol=DEFAULT_TOL, ctx=None):
@@ -107,11 +75,6 @@ def stage_order_components(t, tol=DEFAULT_TOL, ctx=None):
     return q1, q2
 
 
-def stage_order(t, tol=DEFAULT_TOL):
-    q1, q2 = stage_order_components(t, tol)
-    return min(q1, q2)
-
-
 def classical_order(t, pmax=6, tol=DEFAULT_TOL):
     """Largest p <= pmax with all rooted-tree conditions of order <= p.
 
@@ -120,18 +83,15 @@ def classical_order(t, pmax=6, tol=DEFAULT_TOL):
     """
     if pmax > 6:
         raise ValueError("classical order checks are enumerated up to 6")
+    bk = t.backend
     abs_A = [[abs(x) for x in row] for row in t.A]
     abs_b = [abs(x) for x in t.b]
     p = 0
     for order in range(1, pmax + 1):
         for tree in trees_of_order(order):
             weight = elementary_weight(tree, t.A, t.b, t.ones)
-            if t.exact:
-                ok = weight == Fraction(1, density(tree))
-            else:
-                scale = elementary_weight(tree, abs_A, abs_b, t.ones)
-                ok = _is_zero_scalar(t, weight - 1.0 / density(tree), scale, tol)
-            if not ok:
+            scale = bk.scale(elementary_weight, tree, abs_A, abs_b, t.ones)
+            if not bk.is_zero(weight - bk.one / density(tree), tol.zero, scale):
                 return p
         p = order
     return p
@@ -150,14 +110,15 @@ def wso(t, kcap=None, tol=DEFAULT_TOL, ctx=None):
     ctx = ctx or SchemeContext(t, tol, kcap)
     mstar = ctx.mstar
     cap = mstar if kcap is None else min(kcap, mstar)
+    bk = t.backend
     b_rows = ctx.b_rows
-    row_scale = max(1.0, max(abs(float(x)) for row in b_rows for x in row))
+    row_scale = bk.size(*b_rows)
     q = 0
     for k in range(1, cap + 1):
         tk = ctx.tau(k)
-        scale = _tau_scale(t, [tk]) * row_scale
+        scale = bk.size(tk) * row_scale
         # b^T A^j tau^(k) = 0 for every left Krylov row b^T A^j
-        if all(_is_zero_scalar(t, vdot(row, tk), scale, tol) for row in b_rows):
+        if all(bk.is_zero(vdot(row, tk), tol.zero, scale) for row in b_rows):
             q = k
         else:
             return q
@@ -180,33 +141,28 @@ class SubspaceBasis:
     m: int | None
     basis: tuple  # tuple of vectors (tuples)
     dim: int
-    exact: bool
+    backend: object
     dims: tuple = ()
+
+    @property
+    def exact(self):
+        return self.backend.exact
 
     def prefix(self, j):
         """The basis of K_j, for 1 <= j <= m."""
         if self.kind != "K" or not 1 <= j <= self.m:
             raise ValueError(f"K_{j} is not a prefix of this basis")
         n = self.dims[j - 1]
-        return SubspaceBasis("K", j, self.basis[:n], n, self.exact, self.dims[:j])
+        return SubspaceBasis("K", j, self.basis[:n], n, self.backend, self.dims[:j])
 
     def eliminator(self, tol=DEFAULT_TOL):
-        elim = Eliminator(self.exact, tol)
+        elim = Eliminator(self.backend, tol)
         for v in self.basis:
             elim.add(v)
         return elim
 
     def contains(self, v, tol=DEFAULT_TOL):
         return self.eliminator(tol).contains(v)
-
-    def same_span(self, other, tol=DEFAULT_TOL):
-        if self.dim != other.dim:
-            return False
-        mine = self.eliminator(tol)
-        theirs = other.eliminator(tol)
-        return all(mine.contains(v) for v in other.basis) and all(
-            theirs.contains(v) for v in self.basis
-        )
 
 
 def _krylov(t, starts, M, tol):
@@ -220,17 +176,19 @@ def _krylov(t, starts, M, tol):
     the integer matrix d M and primitive integer vectors, which span the
     same spaces.
     """
-    if t.exact:
+    bk = t.backend
+    ray = list
+    if bk.exact:
         _, M = integer_matrix(M)
-    elim = Eliminator(t.exact, tol)
+        ray = primitive
+    elim = Eliminator(bk, tol)
     basis, dims = [], []
     for v in starts:
         for _ in range(t.s):
-            if t.exact:
-                v = primitive(v)
+            v = ray(v)
             if not elim.add(v):
                 break
-            basis.append(tuple(Fraction(x) for x in v) if t.exact else tuple(v))
+            basis.append(tuple(bk.convert(x) for x in v))
             v = matvec(M, v)
         dims.append(len(basis))
     return tuple(basis), tuple(dims)
@@ -241,7 +199,7 @@ def space_K(t, m, tol=DEFAULT_TOL):
     if m < 1:
         raise ValueError("m must be >= 1")
     basis, dims = _krylov(t, _tau_starts(t, m), t.A, tol)
-    return SubspaceBasis("K", m, basis, len(basis), t.exact, dims)
+    return SubspaceBasis("K", m, basis, len(basis), t.backend, dims)
 
 
 def _tau_starts(t, m):
@@ -261,7 +219,7 @@ def _tau_starts(t, m):
 def space_Y(t, tol=DEFAULT_TOL):
     """Left Krylov subspace spanned by (A^T)^j b, 0 <= j < s."""
     basis, _ = _krylov(t, [list(t.b)], transpose(t.A), tol)
-    return SubspaceBasis("Y", None, basis, len(basis), t.exact)
+    return SubspaceBasis("Y", None, basis, len(basis), t.backend)
 
 
 def wso_via_subspaces(t, kcap=None, tol=DEFAULT_TOL, ctx=None):
@@ -270,12 +228,13 @@ def wso_via_subspaces(t, kcap=None, tol=DEFAULT_TOL, ctx=None):
     mstar = ctx.mstar
     cap = mstar if kcap is None else min(kcap, mstar)
     Y = ctx.Y
+    bk = t.backend
     q = 0
     for m in range(1, cap + 1):
         K = ctx.K.prefix(m)
-        scale = _tau_scale(t, list(Y.basis) + list(K.basis)) ** 2
+        scale = bk.size(*Y.basis, *K.basis) ** 2
         ortho = all(
-            _is_zero_scalar(t, vdot(y, k), scale, tol)
+            bk.is_zero(vdot(y, k), tol.zero, scale)
             for y in Y.basis
             for k in K.basis
         )
@@ -320,15 +279,14 @@ def check_albrecht(t, p=None, tol=DEFAULT_TOL):
     """
     if p is None:
         p = classical_order(t, tol=tol)
+    bk = t.backend
     b_rows = _left_krylov_rows(t, count=max(t.s, p - 1))
     violations = []
     for k in range(1, max(0, p - 1) + 1):
         tk = tau(t, k)
         for j in range(0, p - 1 - k + 1):
-            scale = _tau_scale(t, [tk]) * max(
-                1.0, max(abs(float(x)) for x in b_rows[j])
-            )
-            if not _is_zero_scalar(t, vdot(b_rows[j], tk), scale, tol):
+            scale = bk.size(tk) * bk.size(b_rows[j])
+            if not bk.is_zero(vdot(b_rows[j], tk), tol.zero, scale):
                 violations.append((j, k))
     return (not violations), violations
 

@@ -1,60 +1,43 @@
 """Univariate polynomials and rational functions over both scalar backends.
 
 Coefficients are stored ascending; the zero polynomial has an empty
-coefficient tuple and degree -1.  Exact polynomials use Fractions and admit
-Euclidean division and GCDs; float polynomials trim trailing coefficients
-below a tolerance and never attempt a GCD.
+coefficient tuple and degree -1.  Each polynomial carries its scalar
+backend, which trims its trailing coefficients (exact zeros, or float
+coefficients below a tolerance) and decides whether a rational function is
+reduced by a GCD (exact only).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, FLOAT
 
 
 class PolynomialError(ValueError):
     pass
 
 
-def _trim(coeffs, exact, tol):
-    cs = list(coeffs)
-    if exact:
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return [Fraction(c) for c in cs]
-    scale = max([1.0] + [abs(float(c)) for c in cs])
-    eps = tol.poly_trim * scale
-    while cs and abs(float(cs[-1])) <= eps:
-        cs.pop()
-    return [float(c) for c in cs]
-
-
 class Polynomial:
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs", "backend")
 
-    def __init__(self, coeffs, exact, tol=DEFAULT_TOL):
-        self.exact = bool(exact)
-        self.coeffs = tuple(_trim(coeffs, self.exact, tol))
+    def __init__(self, coeffs, backend, tol=DEFAULT_TOL):
+        self.backend = backend
+        self.coeffs = tuple(backend.trim(coeffs, tol))
 
-    @classmethod
-    def zero(cls, exact):
-        return cls((), exact)
-
-    @classmethod
-    def one(cls, exact):
-        return cls((1,), exact)
+    @property
+    def exact(self):
+        return self.backend.exact
 
     @classmethod
-    def x(cls, exact):
-        return cls((0, 1), exact)
+    def zero(cls, backend):
+        return cls((), backend)
 
     @classmethod
-    def from_roots(cls, roots, exact):
-        p = cls.one(exact)
-        for r in roots:
-            p = p * cls((-r, 1), exact)
-        return p
+    def one(cls, backend):
+        return cls((1,), backend)
+
+    @classmethod
+    def x(cls, backend):
+        return cls((0, 1), backend)
 
     @property
     def degree(self):
@@ -67,61 +50,57 @@ class Polynomial:
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0) if self.exact else 0.0
+        return self.backend.zero
 
     def __add__(self, other):
         other = self._coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(
-            [self.coeff(i) + other.coeff(i) for i in range(n)], self.exact
+            [self.coeff(i) + other.coeff(i) for i in range(n)], self.backend
         )
 
     def __sub__(self, other):
         other = self._coerce(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(
-            [self.coeff(i) - other.coeff(i) for i in range(n)], self.exact
+            [self.coeff(i) - other.coeff(i) for i in range(n)], self.backend
         )
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], self.exact)
+        return Polynomial([-c for c in self.coeffs], self.backend)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.exact)
-        out = [Fraction(0) if self.exact else 0.0] * (
-            len(self.coeffs) + len(other.coeffs) - 1
-        )
+            return Polynomial.zero(self.backend)
+        out = [self.backend.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Polynomial(out, self.exact)
+        return Polynomial(out, self.backend)
 
     def scale(self, k):
-        return Polynomial([k * c for c in self.coeffs], self.exact)
+        return Polynomial([k * c for c in self.coeffs], self.backend)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.exact != self.exact:
+            if other.backend is not self.backend:
                 raise PolynomialError("mixed polynomial backends")
             return other
-        return Polynomial((other,), self.exact)
+        return Polynomial((other,), self.backend)
 
     def shift(self, k):
         """Multiply by x^k."""
         if self.is_zero:
             return self
-        pad = [Fraction(0) if self.exact else 0.0] * k
-        return Polynomial(pad + list(self.coeffs), self.exact)
+        pad = [self.backend.zero] * k
+        return Polynomial(pad + list(self.coeffs), self.backend)
 
     def divmod(self, divisor):
         divisor = self._coerce(divisor)
         if divisor.is_zero:
             raise PolynomialError("division by zero polynomial")
-        q = [Fraction(0) if self.exact else 0.0] * max(
-            0, self.degree - divisor.degree + 1
-        )
+        q = [self.backend.zero] * max(0, self.degree - divisor.degree + 1)
         rem = list(self.coeffs)
         dlead = divisor.coeffs[-1]
         dd = divisor.degree
@@ -133,7 +112,7 @@ class Polynomial:
             if f != 0:
                 for i, c in enumerate(divisor.coeffs):
                     rem[k - dd + i] -= f * c
-        return Polynomial(q, self.exact), Polynomial(rem, self.exact)
+        return Polynomial(q, self.backend), Polynomial(rem, self.backend)
 
     def divides(self, other, tol=DEFAULT_TOL):
         """True when self divides other (remainder zero within tolerance)."""
@@ -141,14 +120,11 @@ class Polynomial:
         if self.is_zero:
             return other.is_zero
         _, r = other.divmod(self)
-        if self.exact:
-            return r.is_zero
-        scale = max([1.0] + [abs(c) for c in other.coeffs])
-        return all(abs(c) <= tol.poly_divides * scale for c in r.coeffs)
+        bk = self.backend
+        scale = bk.size(other.coeffs)
+        return all(bk.is_zero(c, tol.poly_divides, scale) for c in r.coeffs)
 
     def gcd(self, other):
-        if not self.exact:
-            raise PolynomialError("gcd requires the exact backend")
         a, b = self, self._coerce(other)
         while not b.is_zero:
             a, b = b, a.divmod(b)[1]
@@ -160,29 +136,21 @@ class Polynomial:
         if self.is_zero:
             raise PolynomialError("zero polynomial has no monic form")
         lead = self.coeffs[-1]
-        return Polynomial([c / lead for c in self.coeffs], self.exact)
+        return Polynomial([c / lead for c in self.coeffs], self.backend)
 
     def evaluate(self, x):
-        acc = Fraction(0) if self.exact else 0.0
+        acc = self.backend.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def close_to(self, other, tol=1e-10):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(
-            abs(float(self.coeff(i)) - float(other.coeff(i))) <= tol
-            for i in range(n)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.exact == other.exact and self.coeffs == other.coeffs
+        return self.backend is other.backend and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.exact, self.coeffs))
+        return hash((self.backend.name, self.coeffs))
 
     def __repr__(self):
         if self.is_zero:
@@ -200,20 +168,20 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def lagrange_interpolate(nodes, values, exact):
+def lagrange_interpolate(nodes, values, backend):
     """Unique polynomial of degree < len(nodes) through (node, value) pairs."""
     if len(nodes) != len(values):
         raise PolynomialError("node/value length mismatch")
-    result = Polynomial.zero(exact)
+    result = Polynomial.zero(backend)
     for i, (xi, yi) in enumerate(zip(nodes, values)):
         if yi == 0:
             continue
-        basis = Polynomial.one(exact)
-        denom = Fraction(1) if exact else 1.0
+        basis = Polynomial.one(backend)
+        denom = backend.one
         for j, xj in enumerate(nodes):
             if j == i:
                 continue
-            basis = basis * Polynomial((-xj, 1), exact)
+            basis = basis * Polynomial((-xj, 1), backend)
             denom *= xi - xj
         result = result + basis.scale(yi / denom)
     return result
@@ -222,31 +190,30 @@ def lagrange_interpolate(nodes, values, exact):
 class RationalFunction:
     """Quotient of polynomials with a nonzero constant denominator term.
 
-    Exact pairs are reduced by GCD and normalized to den(0) = 1; float pairs
-    are stored as computed (float GCD is unstable) but normalized by den(0)
-    for deterministic output.  Equality is by cross-multiplication.
+    The backend reduces the pair (exact: by GCD; float: not at all, since a
+    float GCD is unstable), and both are normalized to den(0) = 1 for
+    deterministic output.  Equality is by cross-multiplication.
     """
 
-    __slots__ = ("num", "den", "exact")
+    __slots__ = ("num", "den", "backend")
 
     def __init__(self, num, den, tol=DEFAULT_TOL, require_origin=True):
-        if num.exact != den.exact:
+        if num.backend is not den.backend:
             raise PolynomialError("mixed backends in rational function")
         if den.is_zero:
             raise PolynomialError("zero denominator")
-        exact = num.exact
-        if exact:
-            g = num.gcd(den)
-            if not g.is_zero and g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
+        num, den = num.backend.reduce(num, den)
         d0 = den.coeff(0)
         if d0 != 0:
             num = num.scale(1 / d0)
             den = den.scale(1 / d0)
         elif require_origin:
             raise PolynomialError("denominator vanishes at 0")
-        self.num, self.den, self.exact = num, den, exact
+        self.num, self.den, self.backend = num, den, num.backend
+
+    @property
+    def exact(self):
+        return self.backend.exact
 
     def evaluate(self, z):
         return self.num.evaluate(z) / self.den.evaluate(z)
@@ -263,28 +230,22 @@ class RationalFunction:
         return out
 
     def as_float(self):
-        if not self.exact:
-            return self
         return RationalFunction(
-            Polynomial([float(c) for c in self.num.coeffs], False),
-            Polynomial([float(c) for c in self.den.coeffs], False),
+            Polynomial([float(c) for c in self.num.coeffs], FLOAT),
+            Polynomial([float(c) for c in self.den.coeffs], FLOAT),
             require_origin=False,
         )
 
     def equals(self, other, tol=DEFAULT_TOL):
-        """R1 == R2 via num1*den2 - num2*den1 = 0 (within tolerance)."""
-        if self.exact and other.exact:
-            return self.num * other.den == other.num * self.den
-        a, b = self.as_float(), other.as_float()
-        lhs = a.num * b.den
-        rhs = b.num * a.den
-        diff = lhs - rhs
-        scale = max(
-            [1.0]
-            + [abs(float(c)) for c in lhs.coeffs]
-            + [abs(float(c)) for c in rhs.coeffs]
+        """R1 == R2 via num1*den2 - num2*den1 = 0 (within tolerance); both
+        must be on the same backend."""
+        lhs = self.num * other.den
+        rhs = other.num * self.den
+        bk = self.backend
+        scale = bk.size(lhs.coeffs, rhs.coeffs)
+        return all(
+            bk.is_zero(c, tol.ratfunc_compare, scale) for c in (lhs - rhs).coeffs
         )
-        return all(abs(float(c)) <= tol.ratfunc_compare * scale for c in diff.coeffs)
 
     def __repr__(self):
         return f"RationalFunction({self.num!r} / {self.den!r})"

@@ -95,9 +95,9 @@ def analyze(t, tol=DEFAULT_TOL, pmax=6, kcap=None):
         try:
             alphas = expand_in_basis(fact.Q, basis)
             lemma_ok, _bad = check_alpha_vanishing(
-                alphas, dim_Y, p_linear, t.exact, tol
+                alphas, dim_Y, p_linear, t.backend, tol
             )
-            R_alpha = stability_from_alpha(alphas, dim_Y, p_linear, tol)
+            R_alpha = stability_from_alpha(alphas, dim_Y, p_linear, t.backend, tol)
             consistency["stability-function-routes"] = R.equals(R_alpha, tol)
             consistency["q-basis-orthogonality"] = bool(lemma_ok)
         except (PolynomialError, ValueError, RuntimeError) as err:
@@ -160,7 +160,7 @@ def report_dict(analysis, tol=DEFAULT_TOL, file_bytes=None):
     out = {
         "scheme": t.name or "(unnamed)",
         "sha256": digest,
-        "backend": "exact" if t.exact else "float",
+        "backend": t.backend.name,
         "stages": t.s,
         "classification": analysis.classification.as_dict(),
         "orders": {

@@ -17,10 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import SingularMatrixError, det, solve, vdot
-from .minpoly import char_poly, poly_Q
+from .minpoly import char_poly
 from .orders import SchemeContext, tau
 from .poly import Polynomial, RationalFunction, lagrange_interpolate
-from .scalars import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, EXACT
 
 STANDARD = "standard"  # moments 1/(n+1)!  (Hankel shift m = 1)
 STIFF = "stiff"        # moments 1/n!      (Hankel shift m = 0)
@@ -33,7 +33,7 @@ SERIES_PMAX = 12  # Taylor terms of R(z) compared with exp(z) by order_vs_exp
 def _pencil_matrix(t, z, with_ebt):
     """I - zA (+ z e b^T) evaluated at a scalar z."""
     s = t.s
-    one = Fraction(1) if t.exact else 1.0
+    one = t.backend.one
     out = []
     for i in range(s):
         row = []
@@ -53,15 +53,16 @@ def _det_poly(t, with_ebt, degree):
     mode reverses the characteristic polynomial, det(I - zM) = z^s
     chi_M(1/z); float mode interpolates at integer nodes.
     """
-    if t.exact:
+    bk = t.backend
+    if bk.exact:
         M = [
             [t.a(i, j) - (t.b[j] if with_ebt else 0) for j in range(t.s)]
             for i in range(t.s)
         ]
-        return Polynomial(char_poly(M, True).coeffs[::-1], True)
+        return Polynomial(char_poly(M, bk).coeffs[::-1], bk)
     nodes = [float(k) for k in range(degree + 1)]
-    values = [det(_pencil_matrix(t, z, with_ebt), False) for z in nodes]
-    return lagrange_interpolate(nodes, values, False)
+    values = [det(_pencil_matrix(t, z, with_ebt), bk) for z in nodes]
+    return lagrange_interpolate(nodes, values, bk)
 
 
 def stability_function(t, tol=DEFAULT_TOL):
@@ -73,22 +74,17 @@ def stability_function(t, tol=DEFAULT_TOL):
 
 def order_vs_exp(R, pmax=SERIES_PMAX, tol=DEFAULT_TOL):
     """Largest p <= pmax with R(z) = exp(z) + O(z^(p+1))."""
-    r0 = R.evaluate(Fraction(0) if R.exact else 0.0)
-    if (R.exact and r0 != 1) or (not R.exact and abs(float(r0) - 1.0) > tol.series_match):
+    bk = R.backend
+    if not bk.is_zero(R.evaluate(bk.zero) - bk.one, tol.series_match):
         raise ValueError("R(0) != 1")
     series = R.taylor(pmax + 1)
     p = 0
-    fact = Fraction(1) if R.exact else 1.0
+    fact = bk.one
     for n in range(1, pmax + 2):
         fact = fact / n
         if n >= len(series):
             break
-        target = fact if R.exact else float(fact)
-        if R.exact:
-            ok = series[n] == target
-        else:
-            ok = abs(float(series[n]) - float(target)) <= tol.series_match
-        if ok:
+        if bk.is_zero(series[n] - fact, tol.series_match):
             p = n
         else:
             break
@@ -166,9 +162,9 @@ def moment(n, variant=STANDARD):
 
 def functional_L(p, variant=STANDARD):
     """Linear extension of the moment sequence to a polynomial."""
-    if not p.exact:
-        return sum(float(moment(k, variant)) * c for k, c in enumerate(p.coeffs))
-    return sum(moment(k, variant) * c for k, c in enumerate(p.coeffs))
+    return sum(
+        p.backend.convert(moment(k, variant)) * c for k, c in enumerate(p.coeffs)
+    )
 
 
 def hankel_det(n, m):
@@ -181,7 +177,7 @@ def hankel_det(n, m):
         [Fraction(1, math.factorial(m + i + j)) for j in range(n)]
         for i in range(n)
     ]
-    return det(H, True)
+    return det(H, EXACT)
 
 
 def hankel_det_formula(n, m):
@@ -254,17 +250,17 @@ def ortho_basis(d, variant=STANDARD):
     """Basis Q_0..Q_d by the three-term recurrence
     Q_{n+1} = (x + gamma_n) Q_n + beta_n Q_{n-1}."""
     m = _VARIANT_SHIFT[variant]
-    polys = [Polynomial.one(True)]
+    polys = [Polynomial.one(EXACT)]
     if d >= 1:
-        polys.append(Polynomial((-Fraction(1, m + 1), Fraction(1)), True))
+        polys.append(Polynomial((-Fraction(1, m + 1), Fraction(1)), EXACT))
     gammas, betas = [], []
-    x = Polynomial.x(True)
+    x = Polynomial.x(EXACT)
     for n in range(1, d):
         g = gamma_recurrence(n, m)
         bt = beta_recurrence(n, m)
         gammas.append(g)
         betas.append(bt)
-        nxt = (x + Polynomial((g,), True)) * polys[n] + polys[n - 1].scale(bt)
+        nxt = (x + Polynomial((g,), EXACT)) * polys[n] + polys[n - 1].scale(bt)
         polys.append(nxt)
     zetas = tuple(
         hankel_det_formula(i + 1, m) / hankel_det_formula(i, m)
@@ -285,64 +281,41 @@ def expand_in_basis(Q, basis):
     Q must be monic of degree d <= basis.degree.  Exact Fractions in, exact
     out; float polynomials are lifted termwise.
     """
+    bk = Q.backend
     d = Q.degree
     if d < 0:
         raise ValueError("Q must be nonzero")
-    lead_ok = Q.coeffs[-1] == 1 if Q.exact else abs(Q.coeffs[-1] - 1.0) <= 1e-9
-    if not lead_ok:
+    if not bk.is_zero(Q.coeffs[-1] - bk.one, 1e-9):
         raise ValueError("Q must be monic")
     if d > basis.degree:
         raise ValueError("basis too short for deg Q")
-    exact = Q.exact
     rem = list(Q.coeffs)
     alphas = [None] * d
     # subtract Q_d, then peel monic basis polynomials downwards
     for j in range(d, -1, -1):
-        coeff = rem[j] if j < len(rem) else (Fraction(0) if exact else 0.0)
-        if j == d:
-            factor = coeff  # leading coefficient, 1 for monic Q
-        else:
-            factor = coeff
+        factor = rem[j]  # the leading coefficient, 1 for monic Q, at j = d
+        if j < d:
             alphas[j] = factor
-        bp = basis.polys[j]
-        for i, c in enumerate(bp.coeffs):
-            rem[i] -= factor * (c if exact else float(c))
-    scale = max([1.0] + [abs(float(c)) for c in Q.coeffs])
-    if any(abs(float(r)) > 1e-9 * scale for r in rem):
+        for i, c in enumerate(basis.polys[j].coeffs):
+            rem[i] -= factor * bk.convert(c)
+    scale = bk.size(Q.coeffs)
+    if not all(bk.is_zero(r, 1e-9, scale) for r in rem):
         raise RuntimeError("change of basis failed to terminate at zero")
     return alphas
 
 
-def check_alpha_vanishing(alphas, d, p, exact, tol=DEFAULT_TOL):
+def check_alpha_vanishing(alphas, d, p, backend, tol=DEFAULT_TOL):
     """alpha_j must vanish for j <= p - d - 1 when R has order p."""
     limit = p - d - 1
-    bad = []
-    for j, a in enumerate(alphas):
-        if j <= limit:
-            is_zero = (a == 0) if exact else abs(float(a)) <= tol.zero
-            if not is_zero:
-                bad.append(j)
+    bad = [
+        j
+        for j, a in enumerate(alphas)
+        if j <= limit and not backend.is_zero(a, tol.zero)
+    ]
     return (not bad), bad
 
 
-def expand_Q_in_basis(t, tol=DEFAULT_TOL):
-    """Expansion of the scheme's left annihilator Q in the standard basis.
-
-    Returns (alphas, d) with d = dim Y = deg Q.
-    """
-    Q = poly_Q(t, tol)
-    d = Q.degree
-    return expand_in_basis(Q, ortho_basis(max(d, 1), STANDARD)), d
-
-
-def check_alpha_vanishing_for(t, tol=DEFAULT_TOL):
-    """Tableau-level form of the alpha-vanishing check."""
-    alphas, d = expand_Q_in_basis(t, tol)
-    p = order_vs_exp(stability_function(t, tol), tol=tol)
-    return check_alpha_vanishing(alphas, d, p, t.exact, tol)
-
-
-def stability_from_alpha(alphas, d, p, tol=DEFAULT_TOL):
+def stability_from_alpha(alphas, d, p, backend, tol=DEFAULT_TOL):
     """R(z) = 1 + z beta_0(z) from the companion matrix of the recurrence.
 
     Valid when p >= d (order of R against exp(z) at least dim Y).  The
@@ -351,17 +324,16 @@ def stability_from_alpha(alphas, d, p, tol=DEFAULT_TOL):
     """
     if p < d:
         raise ValueError("stability-from-alpha requires p >= dim Y")
-    exact = all(isinstance(a, (Fraction, int)) for a in alphas)
     if d == 0:
-        one_poly = Polynomial.one(exact)
+        one_poly = Polynomial.one(backend)
         return RationalFunction(one_poly, one_poly, tol)
     if len(alphas) != d:
         raise ValueError("need exactly d alpha coefficients")
-    conv = (lambda v: Fraction(v)) if exact else float
-    S = [[conv(0) for _ in range(d)] for _ in range(d)]
+    one, zero, conv = backend.one, backend.zero, backend.convert
+    S = [[zero for _ in range(d)] for _ in range(d)]
     S[0][0] = conv(Fraction(1, 2))
     for i in range(d - 1):
-        S[i][i + 1] = conv(1)
+        S[i][i + 1] = one
     for i in range(1, d):
         S[i][i - 1] = -conv(xi_squared(i))
     for j in range(d):
@@ -370,26 +342,22 @@ def stability_from_alpha(alphas, d, p, tol=DEFAULT_TOL):
     St = [[S[j][i] for j in range(d)] for i in range(d)]
 
     def pencil(z):
-        M = [
-            [
-                (conv(1) if i == j else conv(0)) - z * St[i][j]
-                for j in range(d)
-            ]
+        return [
+            [(one if i == j else zero) - z * St[i][j] for j in range(d)]
             for i in range(d)
         ]
-        return M
 
     def pencil_col_replaced(z):
         M = pencil(z)
         for i in range(d):
-            M[i][0] = conv(1) if i == 0 else conv(0)
+            M[i][0] = one if i == 0 else zero
         return M
 
-    nodes = [Fraction(k) if exact else float(k) for k in range(d + 1)]
-    den_vals = [det(pencil(z), exact) for z in nodes]
-    num_vals = [det(pencil_col_replaced(z), exact) for z in nodes]
-    den = lagrange_interpolate(nodes, den_vals, exact)
-    num = lagrange_interpolate(nodes, num_vals, exact)
+    nodes = [conv(k) for k in range(d + 1)]
+    den_vals = [det(pencil(z), backend) for z in nodes]
+    num_vals = [det(pencil_col_replaced(z), backend) for z in nodes]
+    den = lagrange_interpolate(nodes, den_vals, backend)
+    num = lagrange_interpolate(nodes, num_vals, backend)
     # R = 1 + z * num/den = (den + z num) / den
     R_num = den + num.shift(1)
     return RationalFunction(R_num, den, tol)
@@ -403,28 +371,24 @@ def stability_from_alpha(alphas, d, p, tol=DEFAULT_TOL):
 def _resolvent_form(t, tk):
     """phi(z) = b^T adj(I - zA) tau^(k) as a polynomial (degree <= s-1),
     given tk = tau^(k)."""
-    s = t.s
-    max_a = max(abs(float(x)) for row in t.A for x in row) if s else 0.0
+    s, bk = t.s, t.backend
+    max_a = bk.scale(lambda: max(abs(x) for row in t.A for x in row))
     nodes, values = [], []
     z_int = 0
     while len(nodes) < s:
-        z = Fraction(z_int) if t.exact else float(z_int)
+        z = bk.convert(z_int)
         M = _pencil_matrix(t, z, False)
-        dz = det(M, t.exact)
-        if t.exact:
-            usable = dz != 0
-        else:
-            # well-conditioned nodes only: the pencil det scales like
-            # (1 + |z| max|A|)^s
-            usable = abs(dz) > 1e-8 * (1.0 + abs(z) * max_a) ** s
-        if usable:
-            x = solve(M, list(tk), t.exact)
+        dz = det(M, bk)
+        # well-conditioned nodes only: the pencil det scales like
+        # (1 + |z| max|A|)^s
+        if not bk.is_zero(dz, 1e-8, bk.scale(lambda: (1.0 + abs(z) * max_a) ** s)):
+            x = solve(M, list(tk), bk)
             values.append(vdot(t.b, x) * dz)
             nodes.append(z)
         z_int += 1
         if z_int > 20 * s + 20:
             raise SingularMatrixError("could not find nonsingular nodes")
-    return lagrange_interpolate(nodes, values, t.exact)
+    return lagrange_interpolate(nodes, values, bk)
 
 
 def wtilde_k(t, k, tol=DEFAULT_TOL):
@@ -441,7 +405,7 @@ def w_k(t, k, tol=DEFAULT_TOL):
     r_minus_1 = num_R - den
     if r_minus_1.is_zero:
         raise ValueError("R(z) is identically 1")
-    knum = phi.scale(Fraction(k) if t.exact else float(k))
+    knum = phi.scale(t.backend.convert(k))
     # (k phi / den) / ((num_R - den)/den) = k phi / (num_R - den);
     # R(0) = 1 makes the denominator vanish at 0, so skip that normalization
     return RationalFunction(knum, r_minus_1, tol, require_origin=False)
@@ -451,14 +415,8 @@ def wtilde_is_zero(t, k, tol=DEFAULT_TOL, ctx=None):
     """Exact (or toleranced) test of W~_k == 0 as a polynomial identity."""
     tk = (ctx or SchemeContext(t, tol)).tau(k)
     phi = _resolvent_form(t, tk)
-    if t.exact:
-        return phi.is_zero
-    scale = max(
-        [1.0]
-        + [abs(float(x)) for x in tk]
-        + [abs(float(x)) for x in t.b]
-    )
-    return all(abs(c) <= tol.zero * scale for c in phi.coeffs)
+    scale = t.backend.size(tk, t.b)
+    return all(t.backend.is_zero(c, tol.zero, scale) for c in phi.coeffs)
 
 
 def wso_via_wtilde(t, kcap=None, tol=DEFAULT_TOL, ctx=None):

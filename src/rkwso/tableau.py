@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import det
 from .scalars import (
     DEFAULT_TOL,
-    EXACT,
     ScalarError,
+    backend_of,
     format_scalar,
-    parse_token,
     token_backend,
 )
 
@@ -33,9 +32,13 @@ class ButcherTableau:
     A: tuple
     b: tuple
     c: tuple
-    exact: bool
+    backend: object  # scalars.EXACT or scalars.FLOAT
     source: str = ""
     metadata: tuple = ()
+
+    @property
+    def exact(self):
+        return self.backend.exact
 
     @property
     def s(self):
@@ -43,7 +46,7 @@ class ButcherTableau:
 
     @property
     def ones(self):
-        return tuple(Fraction(1) if self.exact else 1.0 for _ in range(self.s))
+        return (self.backend.one,) * self.s
 
     def row(self, i):
         return self.A[i]
@@ -54,9 +57,6 @@ class ButcherTableau:
     def diag(self):
         return tuple(self.A[i][i] for i in range(self.s))
 
-    def meta_dict(self):
-        return dict(self.metadata)
-
 
 def make_tableau(A, b, c=None, name="", source="", exact=None, metadata=(),
                  tol=DEFAULT_TOL):
@@ -66,31 +66,21 @@ def make_tableau(A, b, c=None, name="", source="", exact=None, metadata=(),
         raise TableauError("at least one stage required")
     if len(A) != s or any(len(row) != s for row in A):
         raise TableauError("A must be square and match len(b)")
-    if exact is None:
-        exact = all(
-            isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-            for row in A
-            for x in row
-        ) and all(isinstance(x, (Fraction, int)) for x in b)
-    conv = (lambda x: Fraction(x)) if exact else float
-    A = tuple(tuple(conv(x) for x in row) for row in A)
-    b = tuple(conv(x) for x in b)
+    bk = backend_of(exact, itertools.chain(*A, b))
+    A = tuple(tuple(bk.convert(x) for x in row) for row in A)
+    b = tuple(bk.convert(x) for x in b)
     ce = tuple(sum(row) for row in A)
-    if c is None:
-        c = ce
-    else:
-        c = tuple(conv(x) for x in c)
+    if c is not None:
+        c = tuple(bk.convert(x) for x in c)
         if len(c) != s:
             raise TableauError("c length mismatch")
-        if exact:
-            if any(ci != cei for ci, cei in zip(c, ce)):
-                raise TableauError("c is inconsistent with A*e")
-        else:
-            worst = max(abs(ci - cei) for ci, cei in zip(c, ce))
-            if worst > tol.c_consistency * max(1.0, max(abs(x) for x in ce)):
-                raise TableauError(f"c deviates from A*e by {worst:g}")
-            c = ce  # canonical value
-    return ButcherTableau(name, A, b, c, exact, source, tuple(metadata))
+        worst = max(abs(ci - cei) for ci, cei in zip(c, ce))
+        if not bk.is_zero(worst, tol.c_consistency, bk.size(ce)):
+            raise TableauError(
+                f"c is inconsistent with A*e: off by {format_scalar(worst)}"
+            )
+    # the stored c is always the row sums, A e
+    return ButcherTableau(name, A, b, ce, bk, source, tuple(metadata))
 
 
 def parse_tableau(text, tol=DEFAULT_TOL):
@@ -107,6 +97,8 @@ def parse_tableau(text, tol=DEFAULT_TOL):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise TableauError("'A' must be an array of arrays")
     s = len(rows)
+    if s < 1:
+        raise TableauError("at least one stage required")
     if any(len(r) != s for r in rows):
         raise TableauError("'A' must be square")
     bvals = doc["b"]
@@ -123,12 +115,11 @@ def parse_tableau(text, tol=DEFAULT_TOL):
         raise TableauError(str(err)) from None
     if len(backends) > 1:
         raise TableauError("mixed rational and decimal tokens in one file")
-    backend = backends.pop()
-    exact = backend == EXACT
+    bk = backends.pop()
     try:
-        A = [[parse_token(x, backend) for x in r] for r in rows]
-        b = [parse_token(x, backend) for x in bvals]
-        c = [parse_token(x, backend) for x in cvals] if cvals is not None else None
+        A = [[bk.parse(x) for x in r] for r in rows]
+        b = [bk.parse(x) for x in bvals]
+        c = [bk.parse(x) for x in cvals] if cvals is not None else None
     except ScalarError as err:
         raise TableauError(str(err)) from None
     meta = doc.get("metadata") or {}
@@ -140,7 +131,7 @@ def parse_tableau(text, tol=DEFAULT_TOL):
         c,
         name=str(doc.get("name", "")),
         source=str(doc.get("source", "")),
-        exact=exact,
+        exact=bk.exact,
         metadata=tuple(sorted(meta.items())),
         tol=tol,
     )
@@ -192,60 +183,46 @@ class SchemeClassification:
         }
 
 
-def _near(x, y, exact, tol_abs):
-    return x == y if exact else abs(x - y) <= tol_abs
-
-
 def distinct_abscissas(t, tol=DEFAULT_TOL):
     """Representative values of c up to the tie tolerance, in stage order."""
     reps = []
     for ci in t.c:
-        if not any(_near(ci, r, t.exact, tol.abscissa_tie) for r in reps):
+        if not any(t.backend.same(ci, r, tol.abscissa_tie) for r in reps):
             reps.append(ci)
     return reps
 
 
 def has_zero_abscissa(t, tol=DEFAULT_TOL):
-    zero = 0 if t.exact else 0.0
-    return any(_near(ci, zero, t.exact, tol.abscissa_tie) for ci in t.c)
+    bk = t.backend
+    return any(bk.same(ci, bk.zero, tol.abscissa_tie) for ci in t.c)
 
 
 def classify(t, tol=DEFAULT_TOL):
-    s = t.s
-    zero_tol = 0.0 if t.exact else tol.zero
+    s, bk = t.s, t.backend
     lower = all(
-        abs(float(t.a(i, j))) <= zero_tol for i in range(s) for j in range(i + 1, s)
+        bk.is_zero(t.a(i, j), tol.zero) for i in range(s) for j in range(i + 1, s)
     )
-    explicit = lower and all(abs(float(t.a(i, i))) <= zero_tol for i in range(s))
+    explicit = lower and all(bk.is_zero(t.a(i, i), tol.zero) for i in range(s))
     diag = t.diag()
-    sdirk = lower and all(
-        _near(d, diag[0], t.exact, tol.abscissa_tie) for d in diag
-    )
-    edirk = lower and abs(float(t.a(0, 0))) <= (0.0 if t.exact else tol.zero)
+    sdirk = lower and all(bk.same(d, diag[0], tol.abscissa_tie) for d in diag)
+    edirk = lower and bk.is_zero(t.a(0, 0), tol.zero)
     gedirk = False
     if lower:
-        zero = 0 if t.exact else 0.0
         for j, cj in enumerate(t.c):
-            if _near(cj, zero, t.exact, tol.abscissa_tie):
-                gedirk = _near(t.a(j, j), zero, t.exact, tol.abscissa_tie)
+            if bk.same(cj, bk.zero, tol.abscissa_tie):
+                gedirk = bk.same(t.a(j, j), bk.zero, tol.abscissa_tie)
                 break
-    last_row = t.row(s - 1)
-    if t.exact:
-        stiffly = all(x == y for x, y in zip(last_row, t.b))
-    else:
-        scale = max(1.0, max(abs(float(x)) for x in t.b))
-        stiffly = all(
-            abs(float(x) - float(y)) <= tol.zero * scale
-            for x, y in zip(last_row, t.b)
-        )
-    d = det(t.A, t.exact)
-    if t.exact:
-        invertible = d != 0
-    else:
-        from .linalg import max_abs
-
-        scale = max(1.0, max_abs(t.A)) ** s
-        invertible = abs(d) > 1e-12 * scale
+    scale = bk.size(t.b)
+    stiffly = all(
+        bk.is_zero(x - y, tol.zero, scale) for x, y in zip(t.row(s - 1), t.b)
+    )
+    # det A against 1e-12 max(1, max|A|)^s, taken in units of max(1, max|A|)
+    # so that the power, which overflows for large entries, is never formed
+    d = det(t.A, bk)
+    size = bk.size(*t.A)
+    for _ in range(s):
+        d /= size
+    invertible = not bk.is_zero(d, 1e-12)
     return SchemeClassification(
         is_explicit=explicit,
         is_dirk=lower,
@@ -284,7 +261,7 @@ def s_reducibility(t, tol=DEFAULT_TOL):
                 placed = False
                 for g_sig, members in groups:
                     if all(
-                        _near(a, b, t.exact, tol.abscissa_tie)
+                        t.backend.same(a, b, tol.abscissa_tie)
                         for a, b in zip(sig, g_sig)
                     ):
                         members.append(i)
@@ -301,32 +278,20 @@ def s_reducibility(t, tol=DEFAULT_TOL):
     return tuple(tuple(i + 1 for i in block) for block in blocks)
 
 
-def contract(t, partition):
-    """Equivalent smaller scheme: one stage per block (1-based partition)."""
-    blocks = [tuple(i - 1 for i in block) for block in partition]
-    reps = [block[0] for block in blocks]
-    A = [
-        [sum(t.a(rep, k) for k in block) for block in blocks] for rep in reps
-    ]
-    b = [sum(t.b[k] for k in block) for block in blocks]
-    return make_tableau(A, b, name=t.name + "-contracted", exact=t.exact)
-
-
 def dj_reducibility(t, tol=DEFAULT_TOL):
     """Stages with no influence on the output (1-based indices).
 
     A stage is kept when its weight is nonzero or some other kept stage
     consumes it; the complement at the fixed point is removable.
     """
-    s = t.s
-    zero_tol = 0.0 if t.exact else tol.zero
-    kept = {j for j in range(s) if abs(float(t.b[j])) > zero_tol}
+    s, bk = t.s, t.backend
+    kept = {j for j in range(s) if not bk.is_zero(t.b[j], tol.zero)}
     while True:
         added = {
             j
             for j in range(s)
             if j not in kept
-            and any(i != j and abs(float(t.a(i, j))) > zero_tol for i in kept)
+            and any(i != j and not bk.is_zero(t.a(i, j), tol.zero) for i in kept)
         }
         if not added:
             break

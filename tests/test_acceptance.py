@@ -27,6 +27,7 @@ from rkwso.orders import (
     wso_via_subspaces,
 )
 from rkwso.poly import Polynomial, RationalFunction
+from rkwso.scalars import EXACT, FLOAT
 from rkwso.stability import (
     expand_in_basis,
     hankel_det,
@@ -65,18 +66,18 @@ def test_criterion_1_invariant_subspace_polynomials():
              [F(0), F(1), F(1), F(0)],
              [F(1), F(-1), F(1), F(-1)]]
         v = [F(1), F(1), F(-1), F(-1)]
-        p = min_poly_on_subspace(A, U, True)
-        q = min_poly_on_subspace([list(r) for r in zip(*A)], [v], True)
+        p = min_poly_on_subspace(A, U, EXACT)
+        q = min_poly_on_subspace([list(r) for r in zip(*A)], [v], EXACT)
         # p = (x-1)^3, q = (x-2), exact
-        assert p == Polynomial([F(-1), F(3), F(-3), F(1)], True)
-        assert q == Polynomial([F(-2), F(1)], True)
-        assert p * q == char_poly(A, True)
+        assert p == Polynomial([F(-1), F(3), F(-3), F(1)], EXACT)
+        assert q == Polynomial([F(-2), F(1)], EXACT)
+        assert p * q == char_poly(A, EXACT)
 
 
 def test_criterion_2_two_stage_family_reproduction():
     with criterion(2, "two-stage (2,2,3) family, both signs", 1.0):
         target_R = RationalFunction(
-            Polynomial([1.0, 0.5], False), Polynomial([1.0, -0.5], False)
+            Polynomial([1.0, 0.5], FLOAT), Polynomial([1.0, -0.5], FLOAT)
         )
         for sign in ("minus", "plus"):
             t = catalog_scheme(f"wso3-p2-s2-{sign}")
@@ -115,8 +116,8 @@ def test_criterion_3_three_stage_family_reproduction():
                 assert float(t.a(2, 2)) == (3 * a - 2) / (6 * (a - 1))
                 half_a = F(a) / 2  # a is binary-exact here
                 alpha1 = -float(q2p.evaluate(half_a)) / float(q1p.evaluate(half_a))
-                num = Polynomial([12.0, 6 + 12 * alpha1, 1 + 6 * alpha1], False)
-                den = Polynomial([12.0, 12 * alpha1 - 6, 1 - 6 * alpha1], False)
+                num = Polynomial([12.0, 6 + 12 * alpha1, 1 + 6 * alpha1], FLOAT)
+                den = Polynomial([12.0, 12 * alpha1 - 6, 1 - 6 * alpha1], FLOAT)
                 R = stability_function(t)
                 diff = R.num * den.scale(1.0 / 12.0) - num.scale(1.0 / 12.0) * R.den
                 assert all(abs(c) <= 1e-10 for c in diff.coeffs)
@@ -146,9 +147,9 @@ def test_criterion_4_hankel_and_basis_suite():
                 ) - hankel_det_formula(n - 1, m + 1) ** 2
                 assert lhs == rhs
         ob = ortho_basis(3)
-        assert ob.polys[2] == Polynomial([F(1, 12), F(-1, 2), F(1)], True)
+        assert ob.polys[2] == Polynomial([F(1, 12), F(-1, 2), F(1)], EXACT)
         assert ob.polys[3] == Polynomial(
-            [F(-1, 120), F(1, 10), F(-1, 2), F(1)], True
+            [F(-1, 120), F(1, 10), F(-1, 2), F(1)], EXACT
         )
         assert ob.zetas[1] == F(-1, 12)
         for n in range(1, 9):
@@ -166,7 +167,7 @@ def test_criterion_5_stability_route_equivalence():
                 continue
             Q = poly_Q(t)
             alphas = expand_in_basis(Q, ortho_basis(max(d, 1)))
-            R2 = stability_from_alpha(alphas, d, p)
+            R2 = stability_from_alpha(alphas, d, p, t.backend)
             if t.exact:
                 assert R.num == R2.num and R.den == R2.den
             else:

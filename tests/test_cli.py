@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from rkwso.cli import main
 from rkwso.tableau import parse_tableau
 
@@ -212,3 +214,42 @@ class TestKcapPipeline:
         doc = json.loads(out)
         assert doc["orders"]["q_wso"] == "inf"
         assert doc["orders"]["q2_stage_quadrature"] == "inf"
+
+
+class TestValueChecks:
+    """Each bad value gives exit 1 and one line on stderr that names it."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--kcap=-1", "analyze", "gauss2"], "--kcap"),
+            (["--tol-zero", "nan", "analyze", "gauss2"], "--tol-zero"),
+            (["--tol-rank", "0", "analyze", "gauss2"], "--tol-rank"),
+            (["converge", "backward-euler", "--regime", "classical", "--T=-1"], "--T"),
+            (["construct", "generic", "--targets", "3,3"], "--targets"),
+            (["construct", "generic", "--targets", "0,0,0"], "--targets"),
+            (["construct", "wso3-p3-s3", "--a", "nan"], "--a"),
+            (["construct", "wso3-p3-s3", "--a", "1e200"], "--a"),
+        ],
+    )
+    def test_bad_value_exit_1(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"name":"x","A":[],"b":[]}',
+            '{"name":"big","A":[["1e200","0.0"],["0.5","1e200"]],"b":["0.5","0.5"]}',
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "stability", "barriers"])
+    def test_bad_tableau_exit_1(self, tmp_path, capsys, doc, command):
+        f = tmp_path / "bad.json"
+        f.write_text(doc)
+        code, out, err = run_cli(capsys, command, str(f))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("input error:")

@@ -23,6 +23,7 @@ from rkwso.construct import (
 from rkwso.barriers import NAME_DIRK_WSO_ORDER_BUDGET
 from rkwso.orders import classical_order, tau, wso
 from rkwso.poly import Polynomial, RationalFunction
+from rkwso.scalars import FLOAT
 from rkwso.stability import order_vs_exp, stability_function
 from rkwso.tableau import s_reducibility
 
@@ -136,8 +137,8 @@ class TestThreeStageFamily:
             basis = ortho_basis(2)
             q1, q2 = basis.polys[1], basis.polys[2]
             alpha1 = -float(q2.evaluate(a / 2)) / float(q1.evaluate(a / 2))
-            num = Polynomial([12.0, 6 + 12 * alpha1, 1 + 6 * alpha1], False)
-            den = Polynomial([12.0, 12 * alpha1 - 6, 1 - 6 * alpha1], False)
+            num = Polynomial([12.0, 6 + 12 * alpha1, 1 + 6 * alpha1], FLOAT)
+            den = Polynomial([12.0, 12 * alpha1 - 6, 1 - 6 * alpha1], FLOAT)
             target = RationalFunction(num, den)
             assert stability_function(t).equals(target)
 

@@ -21,6 +21,7 @@ from rkwso.linalg import Eliminator, SingularMatrixError, det, solve, solve_in_s
 from rkwso.minpoly import char_poly
 from rkwso.orders import saturation_index, space_K
 from rkwso.poly import lagrange_interpolate
+from rkwso.scalars import EXACT
 from rkwso.stability import _det_poly, _pencil_matrix
 from rkwso.tableau import make_tableau
 
@@ -69,7 +70,7 @@ class TestPencilDeterminants:
         nodes = [F(k) for k in range(t.s + 1)]
         for with_ebt in (False, True):
             values = [brute_force_det(_pencil_matrix(t, z, with_ebt)) for z in nodes]
-            expected = lagrange_interpolate(nodes, values, True)
+            expected = lagrange_interpolate(nodes, values, EXACT)
             assert _det_poly(t, with_ebt, t.s) == expected
 
     def test_char_poly_with_coprime_denominators(self):
@@ -78,7 +79,7 @@ class TestPencilDeterminants:
             [F(0), F(-7, 9), F(1, 11)],
             [F(3, 5), F(1), F(2, 13)],
         ]
-        chi = char_poly(A, True)
+        chi = char_poly(A, EXACT)
         assert chi.degree == 3 and chi.coeffs[-1] == 1
         for x in (F(0), F(1, 3), F(2, 7), F(-5, 4), F(17, 6), F(-1)):
             shifted = [
@@ -91,7 +92,7 @@ class TestPencilDeterminants:
 class TestExactEliminator:
     def test_rejects_a_scaled_copy(self):
         v = [F(1, 3), F(-2, 7), F(5, 4)]
-        elim = Eliminator(True)
+        elim = Eliminator(EXACT)
         assert elim.add(v)
         assert not elim.add([F(-14, 5) * x for x in v])
         assert not elim.add([84 * x for x in v])  # an integer multiple
@@ -108,7 +109,7 @@ class TestExactEliminator:
         for trial in range(60):
             n = rng.randint(1, 6)
             basis = [vec(n) for _ in range(rng.randint(0, n))]
-            elim = Eliminator(True)
+            elim = Eliminator(EXACT)
             for v in basis:
                 elim.add(v)
             assert elim.rank == brute_force_rank(basis)
@@ -128,10 +129,10 @@ class TestExactSolves:
         rng = random.Random(100 + n)
         for trial in range(4):
             A = [[_rational(rng) for _ in range(n)] for _ in range(n)]
-            assert det(A, True) == brute_force_det(A), (n, trial)
+            assert det(A, EXACT) == brute_force_det(A), (n, trial)
             if n >= 2:
                 A[-1] = list(A[0])  # a repeated row
-                assert det(A, True) == 0
+                assert det(A, EXACT) == 0
 
     def test_span_solve_with_dependent_columns(self):
         rng = random.Random(11)
@@ -146,7 +147,7 @@ class TestExactSolves:
             rng.shuffle(cols)
             weights = [_rational(rng) for _ in cols]
             target = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(m)]
-            x = solve_in_span(cols, target, True)
+            x = solve_in_span(cols, target, EXACT)
             assert x is not None and len(x) == len(cols)
             assert [sum(xj * c[i] for xj, c in zip(x, cols)) for i in range(m)] == target
 
@@ -157,7 +158,7 @@ class TestExactSolves:
             cols = [[_rational(rng) for _ in range(m)] for _ in range(rng.randint(0, m - 1))]
             target = [_rational(rng) for _ in range(m)]
             if brute_force_rank(cols + [target]) > brute_force_rank(cols):
-                assert solve_in_span(cols, target, True) is None, (trial, cols, target)
+                assert solve_in_span(cols, target, EXACT) is None, (trial, cols, target)
 
     def test_solve_reproduces_the_right_hand_side(self):
         rng = random.Random(13)
@@ -166,10 +167,10 @@ class TestExactSolves:
             if brute_force_det(A) == 0:
                 continue
             rhs = [_rational(rng) for _ in range(n)]
-            x = solve(A, rhs, True)
+            x = solve(A, rhs, EXACT)
             assert [sum(a * xj for a, xj in zip(row, x)) for row in A] == rhs
 
     def test_solve_rejects_a_singular_matrix_with_a_consistent_rhs(self):
         # the dependent column's pivot falls in the tags, not the data
         with pytest.raises(SingularMatrixError):
-            solve([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)], True)
+            solve([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)], EXACT)

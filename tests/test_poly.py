@@ -5,16 +5,19 @@ from fractions import Fraction as F
 import pytest
 
 from rkwso.poly import Polynomial, PolynomialError, RationalFunction, lagrange_interpolate
+from rkwso.scalars import EXACT, FLOAT
 
 
 def P(*coeffs):
-    return Polynomial([F(c) for c in coeffs], True)
+    return Polynomial([F(c) for c in coeffs], EXACT)
 
 
 class TestArithmetic:
     def test_product_expansion(self):
         # (x-1)^3 (x-2) = x^4 - 5x^3 + 9x^2 - 7x + 2, expanded by hand
-        p = Polynomial.from_roots([F(1), F(1), F(1), F(2)], True)
+        p = P(1)
+        for root in (F(1), F(1), F(1), F(2)):
+            p = p * P(-root, 1)
         assert p == P(2, -7, 9, -5, 1)
 
     def test_divide_with_remainder(self):
@@ -36,7 +39,7 @@ class TestArithmetic:
 
     def test_division_by_zero(self):
         with pytest.raises(PolynomialError):
-            P(1, 1).divmod(Polynomial.zero(True))
+            P(1, 1).divmod(Polynomial.zero(EXACT))
 
     def test_gcd(self):
         a = P(-1, 1) * P(-2, 1)
@@ -50,11 +53,11 @@ class TestArithmetic:
 
     def test_trailing_zero_trim(self):
         assert P(1, 2, 0, 0) == P(1, 2)
-        assert Polynomial([0.5, 1e-15], False).degree == 0
+        assert Polynomial([0.5, 1e-15], FLOAT).degree == 0
 
     def test_float_divides_tolerance(self):
-        a = Polynomial([-1.0, 1.0], False)
-        b = Polynomial([-1.0, 0.0, 1.0], False)
+        a = Polynomial([-1.0, 1.0], FLOAT)
+        b = Polynomial([-1.0, 0.0, 1.0], FLOAT)
         assert a.divides(b)
 
 
@@ -78,7 +81,7 @@ class TestRationalFunction:
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(PolynomialError):
-            RationalFunction(P(1), Polynomial.zero(True))
+            RationalFunction(P(1), Polynomial.zero(EXACT))
 
     def test_origin_pole_rejected(self):
         with pytest.raises(PolynomialError):
@@ -90,4 +93,4 @@ def test_lagrange_interpolation_exact():
     target = P(F(1, 12), F(-1, 2), 1)
     nodes = [F(0), F(1), F(2)]
     values = [target.evaluate(x) for x in nodes]
-    assert lagrange_interpolate(nodes, values, True) == target
+    assert lagrange_interpolate(nodes, values, EXACT) == target

@@ -15,8 +15,15 @@ from helpers import brute_force_min_poly_degree, random_suite
 from rkwso.barriers import barrier_report
 from rkwso.linalg import matvec, transpose
 from rkwso.minpoly import char_poly, poly_P, poly_Q
-from rkwso.orders import space_K, space_Y, stage_order, wso, wso_via_subspaces
+from rkwso.orders import (
+    space_K,
+    space_Y,
+    stage_order_components,
+    wso,
+    wso_via_subspaces,
+)
 from rkwso.poly import Polynomial
+from rkwso.scalars import EXACT
 from rkwso.stability import wso_via_wtilde
 
 POOL_FULL = random_suite(1000, smax=5)
@@ -25,7 +32,7 @@ POOL_ALT = random_suite(300, smax=5, seed=987654)
 
 def test_stage_order_never_exceeds_wso():
     for t in POOL_FULL:
-        assert stage_order(t) <= wso(t)
+        assert min(stage_order_components(t)) <= wso(t)
 
 
 def test_wso_three_routes_agree_alternate_seed():
@@ -63,7 +70,7 @@ def _root_multiset_within_diagonal(poly, diag):
     for d, count in budget.items():
         for _ in range(count):
             if remaining.degree >= 1 and remaining.evaluate(d) == 0:
-                remaining, rem = remaining.divmod(Polynomial([-d, F(1)], True))
+                remaining, rem = remaining.divmod(Polynomial([-d, F(1)], EXACT))
                 assert rem.is_zero
     return remaining.degree == 0
 
@@ -80,7 +87,7 @@ def test_PQ_divides_characteristic_polynomial():
     for t in POOL_FULL:
         P = poly_P(t)
         Q = poly_Q(t)
-        char = char_poly([list(r) for r in t.A], True)
+        char = char_poly([list(r) for r in t.A], EXACT)
         assert (P * Q).divides(char)
 
 

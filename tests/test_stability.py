@@ -10,6 +10,7 @@ from rkwso.catalog import catalog_all, catalog_scheme
 from rkwso.minpoly import poly_Q
 from rkwso.orders import space_Y, wso
 from rkwso.poly import Polynomial, RationalFunction
+from rkwso.scalars import EXACT, FLOAT
 from rkwso.stability import (
     STANDARD,
     STIFF,
@@ -36,7 +37,7 @@ from rkwso.tableau import classify, make_tableau
 
 
 def P(*coeffs):
-    return Polynomial([F(c) for c in coeffs], True)
+    return Polynomial([F(c) for c in coeffs], EXACT)
 
 
 class TestStabilityFunction:
@@ -48,7 +49,7 @@ class TestStabilityFunction:
     def test_two_stage_family_reduces_to_pade11(self):
         R = stability_function(catalog_scheme("wso3-p2-s2-minus"))
         target = RationalFunction(
-            Polynomial([1.0, 0.5], False), Polynomial([1.0, -0.5], False)
+            Polynomial([1.0, 0.5], FLOAT), Polynomial([1.0, -0.5], FLOAT)
         )
         assert R.equals(target)
 
@@ -185,7 +186,7 @@ class TestAlphaExpansion:
         alphas = expand_in_basis(Q, basis)
         assert len(alphas) == 1
         assert abs(alphas[0]) <= 1e-12  # Q = Q_1 exactly
-        ok, bad = check_alpha_vanishing(alphas, 1, 2, exact=False)
+        ok, bad = check_alpha_vanishing(alphas, 1, 2, FLOAT)
         assert ok and not bad
 
     def test_three_stage_family_alpha1(self):
@@ -203,40 +204,41 @@ class TestAlphaExpansion:
     def test_degree_zero_Q(self):
         alphas = expand_in_basis(P(1), ortho_basis(0))
         assert alphas == []
-        ok, _ = check_alpha_vanishing(alphas, 0, 1, exact=True)
+        ok, _ = check_alpha_vanishing(alphas, 0, 1, EXACT)
         assert ok
 
-    def test_tableau_level_wrappers(self):
-        from rkwso.stability import check_alpha_vanishing_for, expand_Q_in_basis
-
+    def test_tableau_level_expansion(self):
         for name in ("backward-euler", "wso3-p2-s2-minus", "wso3-p3-s3-a0.5-minus"):
             t = catalog_scheme(name)
-            alphas, d = expand_Q_in_basis(t)
+            Q = poly_Q(t)
+            d = Q.degree
+            alphas = expand_in_basis(Q, ortho_basis(max(d, 1), STANDARD))
             assert len(alphas) == d
-            ok, bad = check_alpha_vanishing_for(t)
+            p = order_vs_exp(stability_function(t))
+            ok, bad = check_alpha_vanishing(alphas, d, p, t.backend)
             assert ok and not bad
 
 
 class TestStabilityFromAlpha:
     def test_two_stage_family(self):
-        R = stability_from_alpha([F(0)], 1, 2)
+        R = stability_from_alpha([F(0)], 1, 2, EXACT)
         assert R.num == P(1, F(1, 2))
         assert R.den == P(1, F(-1, 2))
 
     def test_three_stage_displayed_form(self):
         a1 = F(1, 12)  # alpha_1 at a = 1/2
-        R = stability_from_alpha([F(0), a1], 2, 3)
+        R = stability_from_alpha([F(0), a1], 2, 3, EXACT)
         num = P(12, 6 + 12 * a1, 1 + 6 * a1).scale(F(1, 12))
         den = P(12, 12 * a1 - 6, 1 - 6 * a1).scale(F(1, 12))
         assert R.num == num and R.den == den
 
     def test_degree_zero(self):
-        R = stability_from_alpha([], 0, 1)
+        R = stability_from_alpha([], 0, 1, EXACT)
         assert R.num == P(1) and R.den == P(1)
 
     def test_requires_p_at_least_d(self):
         with pytest.raises(ValueError):
-            stability_from_alpha([F(0), F(0)], 2, 1)
+            stability_from_alpha([F(0), F(0)], 2, 1, EXACT)
 
     def test_route_agreement_on_catalog(self):
         for t in catalog_all():
@@ -247,7 +249,7 @@ class TestStabilityFromAlpha:
                 continue
             Q = poly_Q(t)
             alphas = expand_in_basis(Q, ortho_basis(max(Y_dim, 1)))
-            R_alpha = stability_from_alpha(alphas, Y_dim, p)
+            R_alpha = stability_from_alpha(alphas, Y_dim, p, t.backend)
             assert R_det.equals(R_alpha)
 
 

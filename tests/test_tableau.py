@@ -8,11 +8,9 @@ import pytest
 from helpers import brute_force_s_reducible, random_suite
 
 from rkwso.catalog import catalog_all, catalog_names, catalog_scheme
-from rkwso.prothero import pr_problem, rk_step_with_stages
 from rkwso.tableau import (
     TableauError,
     classify,
-    contract,
     dj_reducibility,
     make_tableau,
     parse_tableau,
@@ -54,6 +52,10 @@ class TestParsing:
     def test_inconsistent_c_rejected(self):
         with pytest.raises(TableauError, match="inconsistent"):
             parse_tableau('{"A":[["1"]],"b":["1"],"c":["1/2"]}')
+
+    def test_no_stages_rejected(self):
+        with pytest.raises(TableauError, match="at least one stage"):
+            parse_tableau('{"name":"x","A":[],"b":[]}')
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(TableauError):
@@ -97,6 +99,13 @@ class TestClassification:
         for t in catalog_all():
             cls = classify(t)
             assert not cls.is_gedirk or cls.is_dirk
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
+    def test_huge_float_entries_classify(self):
+        # det A = 1e400 overflows binary64; no power max|A|^s is formed
+        t = make_tableau([[1e200, 0.0], [0.5, 1e200]], [0.5, 0.5], exact=False)
+        cls = classify(t)
+        assert cls.is_dirk and cls.a_invertible
 
     def test_gauss_is_fully_implicit(self):
         cls = classify(catalog_scheme("gauss2"))
@@ -151,24 +160,6 @@ class TestSReducibility:
                 assert fast is not None
                 # the refinement result is the coarsest stable partition
                 assert len(fast) <= len(slow)
-
-    def test_contracted_scheme_reproduces_stage_values(self):
-        t = make_tableau(
-            [[F(1, 2), F(0), F(0)], [F(1, 2), F(0), F(0)], [F(1, 4), F(1, 4), F(1, 3)]],
-            [F(1, 4), F(1, 4), F(1, 2)],
-            exact=True,
-        )
-        part = s_reducibility(t)
-        small = contract(t, part)
-        prob = pr_problem("cos", lam=-40.0)
-        _, g_full = rk_step_with_stages(t, prob, 0.2, 0.9, 0.05)
-        _, g_small = rk_step_with_stages(small, prob, 0.2, 0.9, 0.05)
-        block_of = {}
-        for bi, block in enumerate(part):
-            for idx in block:
-                block_of[idx - 1] = bi
-        for i in range(t.s):
-            assert abs(g_full[i] - g_small[block_of[i]]) <= 1e-12
 
 
 class TestDJReducibility:
@@ -235,4 +226,4 @@ class TestFormatEdges:
         text = '{"name":"x","A":[["1"]],"b":["1"],"metadata":{"family":"demo","a":"0.5"}}'
         t = parse_tableau(text)
         again = parse_tableau(serialize_tableau(t))
-        assert again.meta_dict() == {"family": "demo", "a": "0.5"}
+        assert dict(again.metadata) == {"family": "demo", "a": "0.5"}
